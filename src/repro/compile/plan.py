@@ -346,19 +346,33 @@ class ForwardPlan:
         return np.moveaxis(buf, 0, -2)
 
     def forward(self, x) -> np.ndarray:
-        """Logits ``(batch, n_classes)`` for a batch of series."""
+        """Logits ``(batch, n_classes)`` for a batch of series.
+
+        Hidden layers run their GEMM and ptanh over all ``batch·time``
+        rows; the last layer slices its filtered sequence to the final
+        step first, so its GEMM has ``batch`` rows — the same shapes
+        the live model's readout hands BLAS.
+        """
         seq = self._validate_batch(x)
+        last = len(self.layers) - 1
         for li, layer in enumerate(self.layers):
             for si, (a, b) in enumerate(layer.stages):
                 seq = self._scan(seq, a, b, (li, si))
+            if li == last:
+                break
             batch, steps = seq.shape[0], seq.shape[1]
             flat = seq.reshape(batch * steps, layer.in_features)
-            mm = flat @ layer.weights.swapaxes(-1, -2)
-            mm += layer.bias
-            e1, e2, e3, e4 = layer.eta
-            act = e1 + e2 * np.tanh((mm - e3) * e4)
+            act = self._affine_ptanh(flat, layer)
             seq = act.reshape(batch, steps, layer.out_features)
-        return seq[:, -1, :] * self.logit_scale
+        return self._affine_ptanh(seq[:, -1, :], layer) * self.logit_scale
+
+    @staticmethod
+    def _affine_ptanh(rows: np.ndarray, layer: "PlanLayer") -> np.ndarray:
+        """Crossbar GEMM, bias and ptanh over ``(rows, in)`` voltages."""
+        mm = rows @ layer.weights.swapaxes(-1, -2)
+        mm += layer.bias
+        e1, e2, e3, e4 = layer.eta
+        return e1 + e2 * np.tanh((mm - e3) * e4)
 
     __call__ = forward
 

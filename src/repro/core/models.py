@@ -178,11 +178,16 @@ class PrintedTemporalClassifier(Module):
         context the network evaluates every Monte-Carlo hardware
         instance in a single vectorized pass and the logits gain a
         leading draws axis: ``(draws, batch, n_classes)``.
+
+        Hidden blocks process the full sequence; the output block runs
+        its crossbar and ptanh on the final step only
+        (:meth:`~repro.core.tpb.PrintedTemporalProcessingBlock.readout`),
+        since that is the only step the logits read.
         """
         seq = _coerce_sequences(x, self.in_channels)
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             seq = block(seq)
-        return seq[..., -1, :] * self.logit_scale
+        return self.blocks[-1].readout(seq) * self.logit_scale
 
 
 class PTPNC(PrintedTemporalClassifier):

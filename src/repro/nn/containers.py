@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Union
 
 from ..autograd import Tensor
 from .module import Module
 
 __all__ = ["Sequential", "ModuleList"]
+
+
+def _select(modules: dict, order: List[str], index: Union[int, slice]):
+    """One module by position, or a plain list of them for a slice."""
+    if isinstance(index, slice):
+        return [modules[name] for name in order[index]]
+    return modules[order[index]]
 
 
 class Sequential(Module):
@@ -32,8 +39,8 @@ class Sequential(Module):
     def __len__(self) -> int:
         return len(self._order)
 
-    def __getitem__(self, index: int) -> Module:
-        return self._modules[self._order[index]]
+    def __getitem__(self, index: Union[int, slice]) -> Union[Module, List[Module]]:
+        return _select(self._modules, self._order, index)
 
 
 class ModuleList(Module):
@@ -58,8 +65,8 @@ class ModuleList(Module):
     def __len__(self) -> int:
         return len(self._order)
 
-    def __getitem__(self, index: int) -> Module:
-        return self._modules[self._order[index]]
+    def __getitem__(self, index: Union[int, slice]) -> Union[Module, List[Module]]:
+        return _select(self._modules, self._order, index)
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError("ModuleList is a container; call its items")

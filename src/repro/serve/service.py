@@ -56,6 +56,9 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP verbs onto the owning :class:`ServeHTTPServer`."""
 
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two sends; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms per keep-alive reply).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> MicroBatchService:

@@ -110,3 +110,29 @@ class TestModes:
 
     def test_repr_shows_children(self):
         assert "Linear" in repr(Branch())
+
+
+class TestContainerSlicing:
+    @pytest.mark.parametrize("container", ["sequential", "module_list"])
+    def test_slice_returns_plain_list_of_the_same_modules(self, container):
+        from repro.nn import ModuleList
+
+        items = [Branch(), Tanh(), Branch()]
+        c = Sequential(*items) if container == "sequential" else ModuleList(items)
+        assert type(c[:-1]) is list
+        assert all(a is b for a, b in zip(c[:-1], items[:-1]))
+        assert len(c[:-1]) == 2
+        assert c[1:][0] is items[1]
+        assert c[::2] == [items[0], items[2]]
+        assert c[5:] == []
+        assert c[-1] is items[2]
+
+    def test_slicing_does_not_reregister(self):
+        from repro.nn import ModuleList
+
+        c = ModuleList([Branch(), Branch()])
+        names = [name for name, _ in c.named_parameters()]
+        head = c[:1]
+        head.append(Tanh())
+        assert len(c) == 2
+        assert [name for name, _ in c.named_parameters()] == names

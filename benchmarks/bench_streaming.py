@@ -13,8 +13,9 @@ matters to it.
 ``--multi`` benchmarks the fleet engine instead: N concurrent streams
 stepped per-session (N independent :class:`StreamingSession` loops —
 what the serving tier did before the fleet scheduler) versus one
-:class:`repro.core.MultiStreamSession` advancing all N rows per kernel
-call, over ragged randomly-cut chunk schedules.  The aggregate-speedup
+:class:`repro.core.MultiStreamSession` advancing all N rows together,
+layer by layer over each round's chunks, over ragged randomly-cut chunk
+schedules.  The aggregate-speedup
 gate (≥3x at 32 streams) is skipped on single-core runners like the
 other serving benches; every stream's trajectory must be bit-equal to
 its single-stream oracle regardless.  Each ``--multi`` run appends a

@@ -58,12 +58,19 @@ __all__ = [
     "compile_plan",
     "row_affine",
     "row_ptanh",
+    "row_scan",
     "row_stage",
 ]
 
 
 class PlanInputError(ValueError):
     """A request payload does not fit the plan's input contract."""
+
+
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    """Raise :class:`PlanInputError` unless every value of ``arr`` is finite."""
+    if not np.isfinite(arr).all():
+        raise PlanInputError(f"{what} contains non-finite values (NaN/Inf)")
 
 
 class _Arena:
@@ -94,24 +101,33 @@ class _Arena:
         return buf
 
 
-# -- row-stable step kernels -------------------------------------------------
+# -- row-stable kernels -------------------------------------------------------
 #
 # The streaming engines (single-stream ``StreamingSession`` and the
-# batched ``MultiStreamSession`` fleet) advance one time step for a
-# ``(rows, features)`` matrix of concurrent streams.  Their contract is
-# that every row's result is **bit-equal regardless of how many rows
-# share the matrix** — a stream stepped alone and the same stream
-# stepped inside a 32-row fleet must produce identical bits.  BLAS
-# cannot promise that: GEMM kernels are selected by matrix shape, so
-# ``(A @ B)[i]`` differs from ``A[i:i+1] @ B`` in the last ulp for most
-# shapes (measured: float64 OpenBLAS diverges already at ``k=3, n=8``).
-# These kernels therefore stick to per-element-deterministic primitives:
-# elementwise ufuncs (whose results are independent of array shape) and
-# ``np.einsum`` with its default non-BLAS sum-of-products loop, which
-# accumulates the contracted axis in fixed index order per output
-# element — measured row-stable across shapes for float64 and float32.
-# Both streaming engines call exactly these functions, so their
-# bit-equality is structural, not coincidental.
+# batched ``MultiStreamSession`` fleet) carry a ``(rows, features)``
+# matrix of concurrent streams.  Their contract is that every row's
+# result is **bit-equal regardless of how many rows share the matrix**
+# — a stream stepped alone and the same stream stepped inside a 32-row
+# fleet must produce identical bits.  BLAS cannot promise that: GEMM
+# kernels are selected by matrix shape, so ``(A @ B)[i]`` differs from
+# ``A[i:i+1] @ B`` in the last ulp for most shapes (measured: float64
+# OpenBLAS diverges already at ``k=3, n=8``).  These kernels therefore
+# stick to per-element-deterministic primitives: elementwise ufuncs
+# (whose results are independent of array shape) and ``np.einsum``
+# with its default non-BLAS sum-of-products loop, which accumulates the
+# contracted axis in fixed index order per output element — measured
+# row-stable across shapes, up to thousands of rows, for float64 and
+# float32.
+#
+# ``StreamingSession`` steps one row at a time through ``row_stage``.
+# The fleet works layer by layer over a whole chunk: ``row_scan`` runs
+# each RC stage once over the time-major ``(time, rows, n)`` block from
+# the rows' carried state, and ``row_affine`` / ``row_ptanh`` run once
+# over the flattened ``(time·rows, n)`` block.  ``row_scan`` is also
+# the loop behind ``ForwardPlan._scan`` (from zero state), and its
+# per-element ops are ``row_stage``'s (``b·h + a·v`` vs ``a·v + b·h``:
+# IEEE addition commutes), so the engines agree bit for bit by
+# construction, not by coincidence.
 
 
 def row_stage(a: np.ndarray, b: np.ndarray, h: np.ndarray, v: np.ndarray,
@@ -126,6 +142,27 @@ def row_stage(a: np.ndarray, b: np.ndarray, h: np.ndarray, v: np.ndarray,
     np.multiply(a, v, out=out)
     np.multiply(b, h, out=tmp)
     out += tmp
+    return out
+
+
+def row_scan(a: np.ndarray, b: np.ndarray, x_tm: np.ndarray, v0: np.ndarray,
+             out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """One RC stage over a time-major block: ``v_k = b·x_k + a·v_{k-1}``.
+
+    ``x_tm`` and ``out`` are ``(time, rows, n)``; ``v0`` is the
+    ``(rows, n)`` state before the first step and ``tmp`` caller
+    scratch of that shape.  The live scan kernel's op pair (prefill
+    ``b ⊙ x``, then two ufunc calls per step), so step ``k`` of every
+    row carries the bits :func:`row_stage` would give it.  ``out`` may
+    alias ``x_tm`` but not ``v0`` or ``tmp``.
+    """
+    np.multiply(b, x_tm, out=out)
+    v = v0
+    for k in range(out.shape[0]):
+        vk = out[k]
+        np.multiply(a, v, out=tmp)
+        vk += tmp
+        v = vk
     return out
 
 
@@ -222,11 +259,18 @@ class ForwardPlan:
         message instead of letting a malformed payload shape-crash
         deep inside the forward.
         """
+        arr = self._coerce_shape(series)
+        _check_finite(arr, "series")
+        return arr
+
+    def _coerce_shape(self, series) -> np.ndarray:
+        """:meth:`coerce_series` without the finiteness check, for
+        callers that check a packed block of series at once."""
         try:
             arr = np.asarray(series)
         except (TypeError, ValueError) as exc:
             raise PlanInputError(f"series is not numeric: {exc}") from exc
-        if arr.dtype == object or not np.issubdtype(arr.dtype, np.number):
+        if arr.dtype == object or not issubclass(arr.dtype.type, np.number):
             raise PlanInputError(
                 "series must be a (possibly nested) list of numbers with "
                 "uniform row lengths"
@@ -242,8 +286,6 @@ class ForwardPlan:
             )
         if arr.shape[0] < 1:
             raise PlanInputError("series must contain at least one time step")
-        if not np.isfinite(arr).all():
-            raise PlanInputError("series contains non-finite values (NaN/Inf)")
         return arr
 
     def _validate_batch(self, x) -> np.ndarray:
@@ -260,8 +302,7 @@ class ForwardPlan:
             )
         if arr.shape[1] < 1:
             raise PlanInputError("batch must contain at least one time step")
-        if not np.isfinite(arr).all():
-            raise PlanInputError("batch contains non-finite values (NaN/Inf)")
+        _check_finite(arr, "batch")
         return arr
 
     # -- streaming-state arenas -----------------------------------------
@@ -288,9 +329,9 @@ class ForwardPlan:
     def stream_scratch(self, rows: int) -> "Dict[str, list]":
         """Preallocated per-step scratch for ``rows``-stream stepping.
 
-        Keys: ``stage`` / ``stage_tmp`` — per layer ``(rows,
-        in_features)`` buffers for :func:`row_stage`; ``affine`` — per
-        layer ``(rows, out_features)`` buffers for :func:`row_affine` /
+        Keys: ``stage_tmp`` — per layer ``(rows, in_features)``
+        buffers for :func:`row_stage`; ``affine`` — per layer ``(rows,
+        out_features)`` buffers for :func:`row_affine` /
         :func:`row_ptanh`.  Allocated once per engine, reused every
         step, never shared between engines (plans themselves stay
         stateless for streaming).
@@ -299,10 +340,6 @@ class ForwardPlan:
             raise ValueError("stream_scratch needs rows >= 1")
         dtype = self.dtype
         return {
-            "stage": [
-                np.empty((rows, layer.in_features), dtype=dtype)
-                for layer in self.layers
-            ],
             "stage_tmp": [
                 np.empty((rows, layer.in_features), dtype=dtype)
                 for layer in self.layers
@@ -317,8 +354,9 @@ class ForwardPlan:
 
     def _scan(self, x: np.ndarray, a: np.ndarray, b: np.ndarray, key: tuple) -> np.ndarray:
         """One RC stage over ``(batch, time, n)`` — FilterScan's forward
-        on arena buffers (same time-major layout, same two ufunc calls
-        per step, so the values are bit-equal)."""
+        on arena buffers (:func:`row_scan` from zero state: same
+        time-major layout, same two ufunc calls per step, so the values
+        are bit-equal)."""
         steps = x.shape[-2]
         step_shape = (x.shape[0], x.shape[-1])
         arena = self.arena
@@ -327,7 +365,6 @@ class ForwardPlan:
         # without a copy, exactly like the live kernel.
         x_tm = np.ascontiguousarray(np.moveaxis(x, -2, 0))
         buf = arena.buffer(key + ("buf",), (steps,) + step_shape, self.dtype)
-        np.multiply(b[None], x_tm, out=buf)
         a_d = arena.constant(
             key + ("a_dense",),
             step_shape,
@@ -337,12 +374,7 @@ class ForwardPlan:
             key + ("v0",), step_shape, lambda: np.zeros(step_shape, dtype=self.dtype)
         )
         tmp = arena.buffer(key + ("tmp",), step_shape, self.dtype)
-        v = v0
-        for k in range(steps):
-            vk = buf[k]
-            np.multiply(a_d, v, out=tmp)
-            vk += tmp
-            v = vk
+        row_scan(a_d, b, x_tm, v0, out=buf, tmp=tmp)
         return np.moveaxis(buf, 0, -2)
 
     def forward(self, x) -> np.ndarray:

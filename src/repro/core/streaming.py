@@ -14,10 +14,12 @@ state.  This module mirrors that operating mode in software:
   resume after a restart.
 * :class:`MultiStreamSession` — the batched fleet engine.  The filter
   state of up to ``capacity`` concurrent streams lives as one
-  ``(streams, features)`` matrix per RC stage, and one call advances
-  every active stream per layer per step.  Streams join/leave/reset
-  mid-flight against a row free-list; ragged chunk lengths are padded
-  and masked.  Each row is **bit-equal** to a lone
+  ``(streams, features)`` matrix per RC stage.  A call packs the
+  called rows' ragged chunks into one zero-padded time-major block and
+  runs it layer by layer: one scan per RC stage from the rows' carried
+  state, then one crossbar affine and one ptanh over every step of
+  every row.  Streams join/leave/reset mid-flight against a row
+  free-list.  Each row is **bit-equal** to a lone
   :class:`StreamingSession` fed the same chunks, whatever the
   interleaving (see the contract below).
 * :class:`StreamingClassifier` — the sample-by-sample façade kept from
@@ -39,9 +41,11 @@ chunks and one giant chunk — the concatenated per-step logits are
 **bit-equal** to processing the whole stream in one call; and a stream
 stepped inside a :class:`MultiStreamSession` fleet is bit-equal to the
 same stream stepped alone, whatever the other rows are doing.  Both
-hold by construction: every step runs through the shared row-stable
-kernels (:func:`~repro.compile.plan.row_stage`,
-:func:`~repro.compile.plan.row_affine`,
+hold by construction: both engines run the shared row-stable kernels
+of :mod:`repro.compile.plan` (the session steps with
+:func:`~repro.compile.plan.row_stage`, the fleet scans with
+:func:`~repro.compile.plan.row_scan` — the same per-element ops; both
+then call :func:`~repro.compile.plan.row_affine` and
 :func:`~repro.compile.plan.row_ptanh`), whose per-row results are
 independent of how many rows share the matrix — elementwise ufuncs and
 ``einsum``'s fixed-order sum-of-products loop, never a BLAS GEMM
@@ -177,10 +181,13 @@ class StreamingSession:
     def load_state(self, source) -> None:
         """Restore from a :meth:`state_dict` mapping or an npz path.
 
-        Validates the format tag, the plan identity and every state
-        shape before touching the session, so a failed load leaves the
-        current state intact.  After a successful load, processing the
-        remainder of a stream is bit-equal to never having snapshotted.
+        Validates the format tag, the plan identity, every state shape
+        and value (finite), ``steps_seen`` (a non-negative integer) and
+        ``last_logits`` (finite, ``(n_classes,)``, present exactly when
+        a step has been taken) before touching the session, so a failed
+        load raises ``ValueError`` and leaves the current state intact.
+        After a successful load, processing the remainder of a stream is
+        bit-equal to never having snapshotted.
         """
         if isinstance(source, (str, os.PathLike)):
             with np.load(source) as npz:
@@ -223,12 +230,32 @@ class StreamingSession:
                         f"plan expects {v.shape}"
                     )
                 v[...] = arr
+                if not np.isfinite(v).all():
+                    raise ValueError(f"snapshot {key} has non-finite values")
+        steps = scalar("steps_seen")
+        integral = isinstance(steps, (int, np.integer)) and not isinstance(steps, bool)
+        if not integral or steps < 0:
+            raise ValueError(
+                f"snapshot steps_seen must be a non-negative integer, got {steps!r}"
+            )
         last = data.get("last_logits")
+        if (last is None) != (steps == 0):
+            raise ValueError(
+                f"snapshot has steps_seen={steps} but "
+                f"{'no' if last is None else 'a'} last_logits"
+            )
+        if last is not None:
+            last = np.array(last, dtype=self.plan.dtype)
+            if last.shape != (self.plan.n_classes,):
+                raise ValueError(
+                    f"snapshot last_logits has shape {last.shape}, "
+                    f"plan expects {(self.plan.n_classes,)}"
+                )
+            if not np.isfinite(last).all():
+                raise ValueError("snapshot last_logits has non-finite values")
         self._state = fresh
-        self._steps = int(scalar("steps_seen"))
-        self._last_logits = (
-            None if last is None else np.array(last, dtype=self.plan.dtype)
-        )
+        self._steps = int(steps)
+        self._last_logits = last
 
     # -- execution ------------------------------------------------------
 
@@ -285,28 +312,35 @@ class MultiStreamSession:
     Where :class:`StreamingSession` pays one Python-level step loop per
     stream, this engine holds the RC filter state of up to ``capacity``
     streams as a single ``(capacity, features)`` matrix per stage and
-    advances **all active streams with one kernel call per layer per
-    step** — the per-step interpreter overhead amortises over the whole
-    fleet, which is where the serving-scale throughput comes from.
+    advances **all called streams layer by layer over the whole
+    chunk**: only the RC stages carry state, so each stage runs one
+    :func:`~repro.compile.plan.row_scan` over the ``(time, rows,
+    features)`` block from the rows' carried state, and the memoryless
+    crossbar and ptanh run once over all ``time·rows`` voltages.  The
+    interpreter overhead then scales with the chunk length, not with
+    chunk length × layers × kernels.
 
     Rows are allocated from a free-list: :meth:`open` claims a row,
     :meth:`close` discharges and releases it, :meth:`reset`
     power-cycles it in place — streams join and leave mid-flight
     without disturbing their neighbours.  :meth:`process_many` takes a
     ``{row: chunk}`` mapping of *ragged* chunks (any lengths, any
-    subset of open rows): shorter chunks are zero-padded to the longest
-    and a per-step mask freezes each row's state the moment its chunk
-    ends, so per-stream chunk boundaries never synchronise.
+    subset of open rows): shorter chunks are zero-padded to the
+    longest, and each row's new state is read at its own last step, so
+    per-stream chunk boundaries never synchronise.  The padded tail is
+    computed and dropped (the recurrence is causal, so it never reaches
+    a row's real steps).
 
     **Fleet-invariance.**  Every row's logits are bit-equal to a lone
     :class:`StreamingSession` over the same plan fed the same chunks
     in the same order, for arbitrary interleavings of
     ``process``/``reset``/``open``/``close`` across rows.  Structural
-    guarantee: both engines call exactly the row-stable kernels in
+    guarantee: both engines call the row-stable kernels in
     ``repro.compile.plan`` (elementwise ufuncs + fixed-order
-    ``einsum``), whose per-row bits do not depend on the row count.
-    Free and masked rows are carried untouched (masked write-back), so
-    a padded step cannot perturb anyone's state.
+    ``einsum``), whose per-row bits do not depend on the row count, and
+    ``row_scan``'s ``b·h + a·v`` is ``row_stage``'s ``a·v + b·h``
+    (IEEE addition commutes).  Rows left out of a call are never read
+    or written.
 
     Not thread-safe: the serving tier serialises access through its
     fleet scheduler.
@@ -319,13 +353,11 @@ class MultiStreamSession:
         self.plan = _resolve_plan(source, precision, "MultiStreamSession")
         self.capacity = int(capacity)
         self._state = self.plan.stream_state(self.capacity)
-        self._scratch = self.plan.stream_scratch(self.capacity)
         self._occupied = np.zeros(self.capacity, dtype=bool)
         # pop() hands out the lowest free row first.
         self._free: List[int] = list(range(self.capacity - 1, -1, -1))
         self._steps = np.zeros(self.capacity, dtype=np.int64)
         self._last: List[Optional[np.ndarray]] = [None] * self.capacity
-        self._lens = np.zeros(self.capacity, dtype=np.int64)
 
     # -- row lifecycle --------------------------------------------------
 
@@ -397,64 +429,55 @@ class MultiStreamSession:
         return self.process_many({row: chunk})[int(row)]
 
     def process_many(self, chunks: Mapping[int, "np.ndarray"]) -> Dict[int, np.ndarray]:
-        """Advance several streams together through one batched step loop.
+        """Advance several streams together, layer by layer over the chunk.
 
         ``chunks`` maps open row indices to series chunks of *any*
         (per-row independent) lengths.  Returns ``{row: (len, n_classes)
         logits}``; each row's state, ``steps_seen`` and ``last_logits``
-        advance exactly as if it were processed alone.
+        advance exactly as if it were processed alone.  Every chunk is
+        validated before any state changes: a bad row, shape or value
+        raises and leaves the whole fleet as it was.
         """
-        from ..compile.plan import row_affine, row_ptanh, row_stage
+        from ..compile.plan import _check_finite, row_affine, row_ptanh, row_scan
 
         plan = self.plan
-        coerced: Dict[int, np.ndarray] = {}
+        picked: List[int] = []
+        coerced: List[np.ndarray] = []
         for row, chunk in chunks.items():
             self._check_row(row)
-            coerced[int(row)] = plan.coerce_series(chunk)
+            picked.append(int(row))
+            coerced.append(plan._coerce_shape(chunk))
         if not coerced:
             return {}
-        lens = self._lens
-        lens[:] = 0
-        for row, x in coerced.items():
-            lens[row] = x.shape[0]
-        max_len = int(lens.max())
-        # Padded fleet input and per-step output trajectory.  Zero
-        # padding is inert for free rows (a·0 + b·0 = 0); occupied rows
-        # past their chunk end are frozen by the write-back mask below.
-        X = np.zeros((max_len, self.capacity, plan.in_channels), dtype=plan.dtype)
-        for row, x in coerced.items():
-            X[: x.shape[0], row, :] = x
-        Y = np.empty((max_len, self.capacity, plan.n_classes), dtype=plan.dtype)
-        layers = plan.layers
-        state = self._state
-        stage_scr = self._scratch["stage"]
-        stage_tmp = self._scratch["stage_tmp"]
-        affine = self._scratch["affine"]
-        active = np.empty((self.capacity, 1), dtype=bool)
-        for k in range(max_len):
-            np.greater(lens, k, out=active[:, 0])
-            h = X[k]
-            for li, layer in enumerate(layers):
-                scr = stage_scr[li]
-                tmp = stage_tmp[li]
-                for si, (a, b) in enumerate(layer.stages):
-                    v = state[li][si]
-                    new = row_stage(a, b, h, v, out=scr, tmp=tmp)
-                    # Only rows still inside their chunk advance; the
-                    # rest keep their carried state bit-for-bit.
-                    np.copyto(v, new, where=active)
-                    h = v
-                mm = row_affine(h, layer.weights, layer.bias, out=affine[li])
-                h = row_ptanh(mm, layer.eta, out=mm)
-            Y[k] = h
+        rows = np.array(picked, dtype=np.intp)
+        lens = np.array([x.shape[0] for x in coerced], dtype=np.intp)
+        # Time-major block of the called rows only, zero-padded to the
+        # longest chunk.  The recurrence is causal, so a row's padded
+        # tail never reaches its own steps; it is computed and dropped.
+        X = np.zeros((int(lens.max()), rows.size, plan.in_channels), dtype=plan.dtype)
+        for j, x in enumerate(coerced):
+            X[: x.shape[0], j] = x
+        _check_finite(X, "series")
+        # Each row's state after the chunk is its value at its own last step.
+        ends = (lens - 1, np.arange(rows.size))
+        h = X
+        for layer, state in zip(plan.layers, self._state):
+            tmp = np.empty((rows.size, layer.in_features), dtype=plan.dtype)
+            for (a, b), v in zip(layer.stages, state):
+                # ``h`` is this call's own buffer: scan it in place.
+                row_scan(a, b, h, v[rows], out=h, tmp=tmp)
+                v[rows] = h[ends]
+            flat = h.reshape(-1, layer.in_features)
+            mm = np.empty((flat.shape[0], layer.out_features), dtype=plan.dtype)
+            row_affine(flat, layer.weights, layer.bias, out=mm)
+            h = row_ptanh(mm, layer.eta, out=mm).reshape(h.shape[:2] + (-1,))
+        h *= plan.logit_scale
+        self._steps[rows] += lens
+        last = h[ends]
         out: Dict[int, np.ndarray] = {}
-        for row, x in coerced.items():
-            n = x.shape[0]
-            logits = Y[:n, row].copy()
-            logits *= plan.logit_scale
-            out[row] = logits
-            self._steps[row] += n
-            self._last[row] = logits[-1].copy()
+        for j, (row, x) in enumerate(zip(picked, coerced)):
+            out[row] = h[: x.shape[0], j].copy()
+            self._last[row] = last[j]
         return out
 
     def __repr__(self) -> str:

@@ -297,6 +297,49 @@ class TestSnapshotRestore:
         for key, value in expected_state.items():
             assert np.array_equal(after[key], value)
 
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda d: d.update(last_logits=np.zeros(7)), "last_logits has shape"),
+            (lambda d: d.update(last_logits=np.zeros((1, 3))), "last_logits has shape"),
+            (
+                lambda d: d.update(last_logits=np.array([0.0, np.nan, 0.0])),
+                "last_logits has non-finite",
+            ),
+            (lambda d: d.pop("last_logits"), "no last_logits"),
+            (lambda d: d.update(steps_seen=np.array(-1)), "non-negative integer"),
+            (lambda d: d.update(steps_seen=np.array(6.5)), "non-negative integer"),
+            (lambda d: d["state_0_0"].fill(np.nan), "state_0_0 has non-finite"),
+            (lambda d: d["state_1_1"].fill(np.inf), "state_1_1 has non-finite"),
+        ],
+    )
+    def test_corrupt_snapshot_values_rejected(self, plan, series, corrupt, match):
+        """Well-formed keys with corrupt values must not load either."""
+        session = StreamingSession(plan)
+        session.process(series[:7])
+        snap = session.state_dict()
+        corrupt(snap)
+        victim = StreamingSession(plan)
+        victim.process(series[:3])
+        expected_state = victim.state_dict()
+        with pytest.raises(ValueError, match=match):
+            victim.load_state(snap)
+        after = victim.state_dict()
+        assert after.keys() == expected_state.keys()
+        for key, value in expected_state.items():
+            assert np.array_equal(after[key], value)
+        assert np.array_equal(
+            victim.process(series[3:9]), StreamingSession(plan).process(series[:9])[3:]
+        )
+
+    def test_logits_without_steps_rejected(self, plan, series):
+        session = StreamingSession(plan)
+        session.process(series[:4])
+        snap = session.state_dict()
+        snap["steps_seen"] = np.array(0)
+        with pytest.raises(ValueError, match="steps_seen=0 but a last_logits"):
+            StreamingSession(plan).load_state(snap)
+
     def test_bad_source_type(self, plan):
         with pytest.raises(TypeError, match="state_dict mapping or an npz"):
             StreamingSession(plan).load_state(42)

@@ -26,9 +26,11 @@ its input's shape via the engine's ``_unbroadcast`` before
 accumulation, so backwards may return gradients in the (numpy-)
 broadcast result shape.
 
-:class:`FilterScan` — the fused RC-recurrence kernel behind the
-learnable printed filters (``scan_backend="fused"``) — is the first
-user; see :func:`filter_scan` for the adjoint derivation.
+Two kernels are built on it: :class:`FilterScan`, the fused
+RC-recurrence behind the learnable printed filters
+(``scan_backend="fused"``; see :func:`filter_scan` for the adjoint
+derivation), and ``repro.nn.rnn._ElmanScan``, which runs a whole Elman
+layer over the sequence with a reverse-time BPTT backward.
 """
 
 from __future__ import annotations

@@ -386,11 +386,13 @@ def run_table2(
     dataset_name: str = "PowerCons",
     repeats: int = 3,
 ) -> Dict[str, float]:
-    """Regenerate Table II: average wall-clock time of one training step.
+    """Regenerate Table II: average wall-clock time of a one-epoch fit.
 
-    One full-batch forward+backward+update per model, with each model's
-    own training policy (ADAPT-pNC pays for Monte-Carlo sampling and the
-    augmented training set).  Returns seconds per step.
+    Times ``Trainer.fit`` with ``max_epochs=1`` per model — its training
+    epoch *and* the validation pass after it — with each model's own
+    training policy (ADAPT-pNC pays for Monte-Carlo sampling and the
+    augmented training set), averaged over ``repeats`` fits.  Returns
+    seconds per one-epoch fit.
     """
     config = config or ExperimentConfig.ci()
     dataset = load_dataset(dataset_name, n_samples=config.n_samples, seed=0)

@@ -90,3 +90,36 @@ class TestElmanRNN:
         rnn = ElmanRNN(1, 4, rng=rng)
         out, _ = rnn(Tensor(rng.normal(size=(2, 20, 1)) * 100))
         assert np.all(np.abs(out.data) <= 1.0)
+
+
+class TestElmanInitialStateShapes:
+    """Per-layer ``h0`` must be exactly ``(batch, hidden)``: a state that
+    would broadcast across the batch, or a mismatched batch or width,
+    raises a ``ValueError`` naming the layer before anything runs."""
+
+    def _rnn(self, rng):
+        return ElmanRNN(1, 4, num_layers=2, rng=rng)
+
+    def test_row_state_does_not_broadcast_over_batch(self, rng):
+        rnn = self._rnn(rng)
+        h0 = [Tensor(np.zeros((3, 4))), Tensor(np.zeros((1, 4)))]
+        with pytest.raises(ValueError, match=r"h0\[1\].*\(3, 4\)"):
+            rnn(Tensor(np.ones((3, 5, 1))), h0=h0)
+
+    def test_vector_state_rejected(self, rng):
+        rnn = self._rnn(rng)
+        h0 = [Tensor(np.zeros(4)), Tensor(np.zeros((3, 4)))]
+        with pytest.raises(ValueError, match=r"h0\[0\].*\(3, 4\)"):
+            rnn(Tensor(np.ones((3, 5, 1))), h0=h0)
+
+    def test_batch_mismatch_names_layer(self, rng):
+        rnn = self._rnn(rng)
+        h0 = [Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4)))]
+        with pytest.raises(ValueError, match=r"h0\[1\].*\(3, 4\)"):
+            rnn(Tensor(np.ones((3, 5, 1))), h0=h0)
+
+    def test_hidden_mismatch_names_layer(self, rng):
+        rnn = self._rnn(rng)
+        h0 = [Tensor(np.zeros((3, 5))), Tensor(np.zeros((3, 4)))]
+        with pytest.raises(ValueError, match=r"h0\[0\].*\(3, 4\)"):
+            rnn(Tensor(np.ones((3, 5, 1))), h0=h0)

@@ -1,9 +1,10 @@
 """Table II — average runtime comparison.
 
 The paper reports Elman ≪ pTPNC < ADAPT-pNC (2.3 ms / 0.23 s / 2.5 s on
-the authors' machine).  We time one full-batch training step per model,
-with each model's own training policy: ADAPT-pNC pays for Monte-Carlo
-variation sampling and the augmented (2×) training set.
+the authors' machine).  We time a one-epoch ``Trainer.fit`` per model
+(the training epoch and the validation pass after it), with each
+model's own training policy: ADAPT-pNC pays for Monte-Carlo variation
+sampling and the augmented (2×) training set.
 """
 
 from repro.core import run_table2
@@ -15,7 +16,7 @@ def test_table2_runtime(benchmark, config):
         run_table2, args=(config,), kwargs={"repeats": 1}, rounds=1, iterations=1
     )
     rows = [[k, f"{v * 1e3:.1f} ms"] for k, v in timings.items()]
-    print("\n" + render_table(["Model", "Runtime / training step"], rows))
+    print("\n" + render_table(["Model", "Wall time / one-epoch fit"], rows))
 
     # The paper's ordering: the proposed model is the most expensive to
     # train; the printed baseline sits between.

@@ -26,11 +26,28 @@ its input's shape via the engine's ``_unbroadcast`` before
 accumulation, so backwards may return gradients in the (numpy-)
 broadcast result shape.
 
-Two kernels are built on it: :class:`FilterScan`, the fused
-RC-recurrence behind the learnable printed filters
-(``scan_backend="fused"``; see :func:`filter_scan` for the adjoint
-derivation), and ``repro.nn.rnn._ElmanScan``, which runs a whole Elman
-layer over the sequence with a reverse-time BPTT backward.
+A gradient that ``backward`` freshly allocated is installed as its
+input's ``.grad`` as is, instead of being copied on first
+accumulation; anything the engine or the Function may still read (the
+incoming gradient, saved state, another returned gradient) is copied
+as before.
+
+The kernels built on it:
+
+* :class:`FilterScan`, the fused RC-recurrence behind the learnable
+  printed filters (``scan_backend="fused"``; see :func:`filter_scan`
+  for the adjoint derivation), and :class:`FilterScanReadout`, the
+  same scan returning only its final step (a classifier's output
+  block reads nothing else);
+* ``repro.circuits.crossbar._CrossbarAffine``, a printed crossbar's
+  ``x·Wᵀ + bias`` over every row, and
+  ``repro.circuits.ptanh._PtanhTransfer``, the printed tanh's
+  ``η₁ + η₂·tanh((x − η₃)·η₄)`` — one full-size node each, with the
+  small ε-weighted parameter graphs left to the engine;
+* ``repro.nn.rnn._ElmanScan``, which runs a whole Elman layer over the
+  sequence with a reverse-time BPTT backward.
+
+:func:`sum_rows` is their shared parameter-gradient reduction.
 """
 
 from __future__ import annotations
@@ -42,7 +59,51 @@ import numpy as np
 from . import tensor as _tensor
 from .tensor import ArrayLike, Tensor, _unbroadcast
 
-__all__ = ["Function", "FunctionContext", "FilterScan", "filter_scan"]
+__all__ = [
+    "Function",
+    "FunctionContext",
+    "FilterScan",
+    "FilterScanReadout",
+    "filter_scan",
+    "sum_rows",
+]
+
+
+def sum_rows(grad: np.ndarray) -> np.ndarray:
+    """``grad.sum(axis=-2)``, bit for bit, at a fraction of its cost.
+
+    Reduces the row axis of a ``(..., rows, n)`` gradient — the
+    parameter-gradient reduction of every per-column printed circuit.
+    ``np.sum`` over a non-last axis runs one short inner loop per row
+    (2-3x slower at ``(5, 5760, 8)``); the row-order ``einsum`` adds the
+    same rows in the same order and so returns the same bits.  A
+    width-1 or non-contiguous gradient keeps ``np.sum``: there einsum
+    would reduce along the rows with a reordered (vectorised) sum.
+    """
+    if grad.shape[-1] == 1 or not grad.flags.c_contiguous:
+        return grad.sum(axis=-2)
+    return np.einsum("...rk->...k", grad)
+
+
+def _is_fresh(
+    g: np.ndarray, i: int, grads: Tuple, ctx: "FunctionContext", grad: np.ndarray
+) -> bool:
+    """Whether gradient ``g`` for input ``i`` may become ``.grad`` as is.
+
+    Only a freshly allocated array qualifies: it owns its C-contiguous
+    data and shares no memory with anything the node can still reach —
+    the incoming ``grad``, the saved state and array attributes of
+    ``ctx`` (bare, or inside a tuple/list), or another returned
+    gradient — so no later in-place ``+=`` into the buffer can leak.
+    """
+    if not (g.flags.owndata and g.flags.c_contiguous and g.flags.writeable):
+        return False
+    held = [grad, *ctx.saved, *(o for j, o in enumerate(grads) if j != i)]
+    for value in vars(ctx).values():
+        held.extend(value if isinstance(value, (tuple, list)) else (value,))
+    return not any(
+        isinstance(h, np.ndarray) and np.may_share_memory(h, g) for h in held
+    )
 
 
 class FunctionContext:
@@ -115,13 +176,16 @@ class Function:
                     f"{cls.__name__}.backward returned {len(grads)} gradients "
                     f"for {len(tensors)} inputs"
                 )
-            for tensor, g in zip(tensors, grads):
-                if tensor.requires_grad and g is not None:
-                    tensor._accumulate_grad(
-                        _unbroadcast(
-                            np.asarray(g, dtype=tensor.data.dtype), tensor.shape
-                        )
-                    )
+            for i, (tensor, g) in enumerate(zip(tensors, grads)):
+                if not tensor.requires_grad or g is None:
+                    continue
+                g = _unbroadcast(np.asarray(g, dtype=tensor.data.dtype), tensor.shape)
+                if tensor.grad is None and _is_fresh(g, i, grads, ctx, grad):
+                    # The array becomes the buffer itself, sparing
+                    # _accumulate_grad's first-touch copy.
+                    tensor.grad = g
+                else:
+                    tensor._accumulate_grad(g)
 
         attrs = (
             {"function": cls, "kwargs": dict(kwargs)}
@@ -161,79 +225,17 @@ class FilterScan(Function):
         b: np.ndarray,
         v0: np.ndarray,
     ) -> np.ndarray:
-        if a.ndim == 2:
-            # (draws, n) -> (draws, 1, n): broadcast over the batch axis,
-            # mirroring the unfused path's unsqueeze(1).
-            a_e = a[:, None, :]
-            b_e = b[:, None, :]
-        else:
-            a_e, b_e = a, b
-        steps = x.shape[-2]
-        step_shape = np.broadcast_shapes(
-            a_e.shape, b_e.shape, v0.shape, x.shape[:-2] + x.shape[-1:]
-        )
-        # Time-major internal layout: buf[k] is a *contiguous*
-        # (..., n) slab, so every per-step numpy call streams over
-        # contiguous memory instead of the strided (..., k, :) views a
-        # (..., time, n) buffer would force (~2x on the hot sizes).
-        # The caller-facing result is a moveaxis view back to
-        # (..., time, n); when two scans chain (SO-LF), stage 2's
-        # moveaxis of stage 1's view recovers the contiguous buffer and
-        # the ascontiguousarray below becomes a no-op.
-        x_tm = np.ascontiguousarray(np.moveaxis(x, -2, 0))
-        # View x_tm at full rank (1s over any broadcast axes, e.g. a
-        # missing draws axis) so time-leading stacked ops align; this
-        # is shape metadata only, no copy.
-        pad = 1 + len(step_shape) - x_tm.ndim
-        x_tm_e = (
-            x_tm.reshape(x_tm.shape[:1] + (1,) * pad + x_tm.shape[1:])
-            if pad > 0
-            else x_tm
-        )
-        dtype = np.result_type(x, a, b, v0)
-        buf = np.empty((steps,) + step_shape, dtype=dtype)
-        # Pre-fill every step's b ⊙ x_k term in ONE vectorized multiply
-        # (b_e gains a leading time axis so it broadcasts against the
-        # stacked x); the loop then only carries the irreducibly
-        # sequential a ⊙ v part — 2 ufunc calls per step instead of 3,
-        # which matters because ufunc dispatch overhead dominates on the
-        # small per-step slabs printed circuits produce.
-        np.multiply(b_e[None], x_tm_e, out=buf)
-        # Densify the broadcast coefficient once: a stride-0 middle
-        # axis roughly doubles numpy's per-call multiply cost at these
-        # sizes, and the loop pays it ``steps`` times.
-        a_d = (
-            np.ascontiguousarray(np.broadcast_to(a_e, step_shape))
-            if a_e.shape != step_shape
-            else a_e
-        )
-        tmp = np.empty(step_shape, dtype=dtype)
-        v: np.ndarray = v0
-        for k in range(steps):
-            vk = buf[k]
-            # vk = (b ⊙ x_k) + (a ⊙ v); the unfused node computes
-            # a*v + b*x — IEEE addition is commutative, so the result
-            # is bit-equal.
-            np.multiply(a_d, v, out=tmp)
-            vk += tmp
-            v = vk
-        ctx.save_for_backward(x_tm_e, a, b, v0, buf)
-        ctx.a_expanded_shape = a_e.shape
-        ctx.b_expanded_shape = b_e.shape
-        ctx.step_shape = step_shape
+        """Run the scan; the result is ``(..., time, n)``."""
+        buf = _scan(ctx, x, a, b, v0)
         return np.moveaxis(buf, 0, -2)
 
     @staticmethod
     def backward(
         ctx: FunctionContext, grad: np.ndarray
     ) -> Tuple[Optional[np.ndarray], ...]:
-        x_tm, a, b, v0, buf = ctx.saved
-        need_x, need_a, need_b, need_v0 = ctx.needs_input_grad
-        a_e = a.reshape(ctx.a_expanded_shape)
-        b_e = b.reshape(ctx.b_expanded_shape)
+        """Reverse-time adjoint scan, then the four input gradients."""
+        buf = ctx.saved[-1]
         steps = buf.shape[0]
-        step_shape = ctx.step_shape
-
         # Same time-major trick as the forward: if ``grad`` is itself a
         # moveaxis view of a time-major buffer (a chained scan's
         # grad_x), this is a free view; otherwise one vectorized copy.
@@ -244,42 +246,161 @@ class FilterScan(Function):
         # input/coefficient gradients as whole-tensor vectorized ops
         # afterwards.  At the hot sizes the per-step ufunc dispatch
         # overhead, not the FLOPs, is the bottleneck.
-        G = np.empty((steps,) + step_shape, dtype=buf.dtype)
-        a_d = (
-            np.ascontiguousarray(np.broadcast_to(a_e, step_shape))
-            if a_e.shape != step_shape
-            else a_e
-        )
-        g = np.zeros(step_shape, dtype=buf.dtype)
-        tmp = np.empty(step_shape, dtype=buf.dtype)
+        G = np.empty_like(buf)
+        a_d = ctx.a_dense
+        g = np.zeros(ctx.step_shape, dtype=buf.dtype)
+        tmp = np.empty(ctx.step_shape, dtype=buf.dtype)
         for k in range(steps - 1, -1, -1):
             np.multiply(a_d, g, out=tmp)
             g = G[k]
             np.add(grad_tm[k], tmp, out=g)
-        # ∂L/∂x_k = b ⊙ g_k for every k at once.
-        grad_x = np.multiply(b_e[None], G) if need_x else None
-        # ∂L/∂a = Σ_k g_k ⊙ v_{k−1}: pair G[1:] with buf[:-1] (states
-        # v_1..v_{T−1}) and add the initial-state term g_1 ⊙ v_0.
-        if need_a:
-            grad_a = np.einsum("k...,k...->...", G[1:], buf[:-1]) + G[0] * v0
-        else:
-            grad_a = None
-        # ∂L/∂b = Σ_k g_k ⊙ x_k (x_tm broadcasts over any missing
-        # draws axis exactly as in the forward).
-        grad_b = np.einsum("k...,k...->...", G, x_tm) if need_b else None
-        grad_v0 = a_e * G[0] if need_v0 else None
+        return _scan_grads(ctx, G)
 
-        # Coefficient gradients must be reduced against the *expanded*
-        # operand shape first: the kernel inserts a middle batch axis
-        # ((draws, n) -> (draws, 1, n)), which the caller's trailing-
-        # aligned unbroadcast cannot infer on its own.
-        if need_a:
-            grad_a = _unbroadcast(grad_a, a_e.shape).reshape(a.shape)
-        if need_b:
-            grad_b = _unbroadcast(grad_b, b_e.shape).reshape(b.shape)
-        if need_x:
-            grad_x = np.moveaxis(grad_x, 0, -2)
-        return grad_x, grad_a, grad_b, grad_v0
+
+class FilterScanReadout(FilterScan):
+    """:class:`FilterScan` returning only the final step ``v_T``.
+
+    The result is ``(..., n)``, equal to ``FilterScan``'s
+    ``[..., -1, :]``.  Every step is still computed and kept (``∂L/∂a``
+    needs them all), but the backward starts from ``ḡ_T`` alone: with
+    ``ḡ_k = 0`` before the last step the adjoint is
+    ``g_k = a ⊙ g_{k+1}``, one multiply per step, and no full-size zero
+    gradient is scattered, copied or transposed.  Gradients equal the
+    sliced full scan's bit for bit (adding the slice's zeros is exact).
+    """
+
+    @staticmethod
+    def forward(
+        ctx: FunctionContext,
+        x: np.ndarray,
+        a: np.ndarray,
+        b: np.ndarray,
+        v0: np.ndarray,
+    ) -> np.ndarray:
+        """Run the scan; the result is its final step, ``(..., n)``."""
+        return _scan(ctx, x, a, b, v0)[-1]
+
+    @staticmethod
+    def backward(
+        ctx: FunctionContext, grad: np.ndarray
+    ) -> Tuple[Optional[np.ndarray], ...]:
+        """Adjoint seeded at the final step, then the input gradients."""
+        buf = ctx.saved[-1]
+        G = np.empty_like(buf)
+        G[-1] = grad
+        a_d = ctx.a_dense
+        for k in range(buf.shape[0] - 2, -1, -1):
+            np.multiply(a_d, G[k + 1], out=G[k])
+        return _scan_grads(ctx, G)
+
+
+def _dense(coef: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``coef`` broadcast to ``shape`` as a contiguous array.
+
+    A stride-0 broadcast operand roughly doubles numpy's per-call
+    multiply cost at the hot sizes (with a size-``n`` inner loop run
+    once per batch row), and the scans pay it per step or per element.
+    """
+    if coef.shape == shape:
+        return coef
+    return np.ascontiguousarray(np.broadcast_to(coef, shape))
+
+
+def _scan(
+    ctx: FunctionContext, x: np.ndarray, a: np.ndarray, b: np.ndarray, v0: np.ndarray
+) -> np.ndarray:
+    """The shared forward of the scans: the time-major state buffer.
+
+    Returns ``buf`` of shape ``(time,) + step_shape`` with
+    ``buf[k] = v_{k+1}``, and saves what :func:`_scan_grads` needs.
+    """
+    if a.ndim == 2:
+        # (draws, n) -> (draws, 1, n): broadcast over the batch axis,
+        # mirroring the unfused path's unsqueeze(1).
+        a_e = a[:, None, :]
+        b_e = b[:, None, :]
+    else:
+        a_e, b_e = a, b
+    steps = x.shape[-2]
+    step_shape = np.broadcast_shapes(
+        a_e.shape, b_e.shape, v0.shape, x.shape[:-2] + x.shape[-1:]
+    )
+    # Time-major internal layout: buf[k] is a *contiguous* (..., n)
+    # slab, so every per-step numpy call streams over contiguous memory
+    # instead of the strided (..., k, :) views a (..., time, n) buffer
+    # would force (~2x on the hot sizes).  FilterScan's caller-facing
+    # result is a moveaxis view back to (..., time, n); when two scans
+    # chain (SO-LF), stage 2's moveaxis of stage 1's view recovers the
+    # contiguous buffer and the ascontiguousarray below is a no-op.
+    x_tm = np.ascontiguousarray(np.moveaxis(x, -2, 0))
+    # View x_tm at full rank (1s over any broadcast axes, e.g. a
+    # missing draws axis) so time-leading stacked ops align; this is
+    # shape metadata only, no copy.
+    pad = 1 + len(step_shape) - x_tm.ndim
+    x_tm_e = (
+        x_tm.reshape(x_tm.shape[:1] + (1,) * pad + x_tm.shape[1:])
+        if pad > 0
+        else x_tm
+    )
+    dtype = np.result_type(x, a, b, v0)
+    buf = np.empty((steps,) + step_shape, dtype=dtype)
+    a_d = _dense(a_e, step_shape)
+    b_d = _dense(b_e, step_shape)
+    # Pre-fill every step's b ⊙ x_k term in ONE vectorized multiply
+    # (b_d gains a leading time axis so it broadcasts against the
+    # stacked x); the loop then only carries the irreducibly sequential
+    # a ⊙ v part — 2 ufunc calls per step instead of 3, which matters
+    # because ufunc dispatch overhead dominates on the small per-step
+    # slabs printed circuits produce.
+    np.multiply(b_d[None], x_tm_e, out=buf)
+    tmp = np.empty(step_shape, dtype=dtype)
+    v: np.ndarray = v0
+    for k in range(steps):
+        vk = buf[k]
+        # vk = (b ⊙ x_k) + (a ⊙ v); the unfused node computes a*v + b*x
+        # — IEEE addition is commutative, so the result is bit-equal.
+        np.multiply(a_d, v, out=tmp)
+        vk += tmp
+        v = vk
+    ctx.save_for_backward(x_tm_e, a, b, v0, buf)
+    ctx.a_expanded_shape = a_e.shape
+    ctx.b_expanded_shape = b_e.shape
+    ctx.step_shape = step_shape
+    ctx.a_dense = a_d
+    ctx.b_dense = b_d
+    return buf
+
+
+def _scan_grads(
+    ctx: FunctionContext, G: np.ndarray
+) -> Tuple[Optional[np.ndarray], ...]:
+    """Input gradients of a scan from its total adjoints ``G[k] = g_{k+1}``."""
+    x_tm, a, b, v0, buf = ctx.saved
+    need_x, need_a, need_b, need_v0 = ctx.needs_input_grad
+    # ∂L/∂x_k = b ⊙ g_k for every k at once.
+    grad_x = np.multiply(ctx.b_dense[None], G) if need_x else None
+    # ∂L/∂a = Σ_k g_k ⊙ v_{k−1}: pair G[1:] with buf[:-1] (states
+    # v_1..v_{T−1}) and add the initial-state term g_1 ⊙ v_0.
+    if need_a:
+        grad_a = np.einsum("k...,k...->...", G[1:], buf[:-1]) + G[0] * v0
+    else:
+        grad_a = None
+    # ∂L/∂b = Σ_k g_k ⊙ x_k (x_tm broadcasts over any missing draws
+    # axis exactly as in the forward).
+    grad_b = np.einsum("k...,k...->...", G, x_tm) if need_b else None
+    grad_v0 = a.reshape(ctx.a_expanded_shape) * G[0] if need_v0 else None
+
+    # Coefficient gradients must be reduced against the *expanded*
+    # operand shape first: the kernel inserts a middle batch axis
+    # ((draws, n) -> (draws, 1, n)), which the caller's trailing-aligned
+    # unbroadcast cannot infer on its own.
+    if need_a:
+        grad_a = _unbroadcast(grad_a, ctx.a_expanded_shape).reshape(a.shape)
+    if need_b:
+        grad_b = _unbroadcast(grad_b, ctx.b_expanded_shape).reshape(b.shape)
+    if need_x:
+        grad_x = np.moveaxis(grad_x, 0, -2)
+    return grad_x, grad_a, grad_b, grad_v0
 
 
 def filter_scan(x: ArrayLike, a: ArrayLike, b: ArrayLike, v0: ArrayLike) -> Tensor:

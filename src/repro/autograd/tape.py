@@ -17,9 +17,10 @@ captures it once and replays it as a flat loop:
 * :class:`CompiledTape` lowers a capture to slot-indexed forward and
   backward closure lists over preallocated arena buffers — no Tensor
   allocation, no graph walk, in-place ``out=`` writes for elementwise
-  ops — with peephole fusion for the hot chains (crossbar
-  ``matmul→add``, the ptanh ``sub→mul→tanh→mul→add`` ladder, loss
-  ``sub→square→mean`` reductions) and dead-gradient elimination that
+  ops — with peephole fusion for the hot chains (affine
+  ``matmul→add``, loss ``sub→square→mean`` reductions; the printed
+  crossbar and ptanh arrive as single ``Function`` nodes) and
+  dead-gradient elimination that
   drops VJP entries whose inputs do not require grad.
 * :class:`TapeCache` keys compiled tapes by caller-built signature
   tuples; an unsupported op or a failed bit-equality self-check marks
@@ -492,8 +493,7 @@ class CompiledTape:
         Patterns (producers sink to the consumer's position — safe
         because slots are SSA and interior outputs are single-consumer):
 
-        * ``matmul → add``  (crossbar weight product + bias add)
-        * ``sub → mul → tanh → mul → add``  (the ptanh ladder)
+        * ``matmul → add``  (an affine layer's weight product + bias add)
         * ``sub → square → mean``  (MSE-style loss reduction; square is
           ``mul(d, d)`` or ``pow 2``)
         """
@@ -512,62 +512,6 @@ class CompiledTape:
 
         def live(idx: Optional[int], op: str) -> bool:
             return idx is not None and not removed[idx] and nodes[idx].op == op
-
-        # --- ptanh ladder: sub -> mul -> tanh -> mul -> add -----------
-        for j, tanh in enumerate(nodes):
-            if tanh.op != "tanh" or removed[j]:
-                continue
-            s2 = tanh.ins[0]
-            i_m1 = producer.get(s2)
-            if not live(i_m1, "mul") or not interior(s2):
-                continue
-            m1 = nodes[i_m1]
-            i_sub = s1 = None
-            for side in (0, 1):
-                cand = producer.get(m1.ins[side])
-                if live(cand, "sub") and interior(m1.ins[side]):
-                    i_sub, s1 = cand, m1.ins[side]
-                    break
-            if i_sub is None:
-                continue
-            s3 = tanh.out
-            if not interior(s3):
-                continue
-            i_m2 = consumers[s3][0]
-            m2 = nodes[i_m2]
-            if removed[i_m2] or m2.op != "mul" or s3 not in m2.ins or m2.ins[0] == m2.ins[1]:
-                continue
-            s4 = m2.out
-            if not interior(s4):
-                continue
-            i_add = consumers[s4][0]
-            addn = nodes[i_add]
-            if removed[i_add] or addn.op != "add" or s4 not in addn.ins:
-                continue
-            sub = nodes[i_sub]
-            x_s, e3 = sub.ins
-            e4 = m1.ins[1] if m1.ins[0] == s1 else m1.ins[0]
-            eta2 = m2.ins[1] if m2.ins[0] == s3 else m2.ins[0]
-            eta1 = addn.ins[1] if addn.ins[0] == s4 else addn.ins[0]
-            fnode = _Node(
-                "fused_ptanh", None, addn.out, (x_s, e3, e4, eta2, eta1),
-                addn.out_shape, addn.out_dtype,
-                (sub.in_shapes[0], sub.in_shapes[1],
-                 self._shape_of(m1, e4), self._shape_of(m2, eta2),
-                 self._shape_of(addn, eta1)),
-                (sub.in_dtypes[0], sub.in_dtypes[1],
-                 self._dtype_of(m1, e4), self._dtype_of(m2, eta2),
-                 self._dtype_of(addn, eta1)),
-            )
-            fnode.extra = {
-                "sub": sub, "m1": m1, "tanh": tanh, "m2": m2, "add": addn,
-                "s1": s1, "s2": s2, "s3": s3, "s4": s4,
-            }
-            fnode.check_slots = (s1, s2, s3, s4, addn.out)
-            for i in (i_sub, i_m1, j, i_m2):
-                removed[i] = True
-            nodes[i_add] = fnode
-            fused += 1
 
         # --- crossbar product: matmul -> add --------------------------
         for j, addn in enumerate(nodes):
@@ -881,38 +825,6 @@ class CompiledTape:
                 vals[o] = obuf
 
             return run_matmul_add
-
-        if op == "fused_ptanh":
-            x = node.extra
-            sub, m1, tanh_n, m2, addn = x["sub"], x["m1"], x["tanh"], x["m2"], x["add"]
-            bufs = {
-                x["s1"]: np.empty(sub.out_shape, dtype=sub.out_dtype),
-                x["s2"]: np.empty(m1.out_shape, dtype=m1.out_dtype),
-                x["s3"]: np.empty(tanh_n.out_shape, dtype=tanh_n.out_dtype),
-                x["s4"]: np.empty(m2.out_shape, dtype=m2.out_dtype),
-                o: self._arena(node),
-            }
-
-            def run_ptanh(sub=sub, m1=m1, tanh_n=tanh_n, m2=m2, addn=addn, bufs=bufs, o=o):
-                # Replay each member with its original operand order so
-                # the arithmetic matches the interpreted chain bit-for-bit.
-                b = bufs[sub.out]
-                np.subtract(vals[sub.ins[0]], vals[sub.ins[1]], out=b)
-                vals[sub.out] = b
-                b = bufs[m1.out]
-                np.multiply(vals[m1.ins[0]], vals[m1.ins[1]], out=b)
-                vals[m1.out] = b
-                b = bufs[tanh_n.out]
-                np.tanh(vals[tanh_n.ins[0]], out=b)
-                vals[tanh_n.out] = b
-                b = bufs[m2.out]
-                np.multiply(vals[m2.ins[0]], vals[m2.ins[1]], out=b)
-                vals[m2.out] = b
-                b = bufs[o]
-                np.add(vals[addn.ins[0]], vals[addn.ins[1]], out=b)
-                vals[o] = b
-
-            return run_ptanh
 
         if op == "fused_mse":
             x = node.extra
@@ -1431,42 +1343,6 @@ class CompiledTape:
                     acc(b, _unbroadcast(np.swapaxes(vals[a], -1, -2) @ gm, sb))
 
             return back_matmul_add
-
-        if op == "fused_ptanh":
-            x = node.extra
-            x_s, e3, e4, eta2, eta1 = ins
-            s_x, s_e3, s_e4, s_eta2, s_eta1 = node.in_shapes
-            s1, s3, s4 = x["s1"], x["s3"], x["s4"]
-            s1_shape = x["sub"].out_shape
-            s3_shape = x["tanh"].out_shape
-            s4_shape = x["m2"].out_shape
-
-            def back_ptanh(x_s=x_s, e3=e3, e4=e4, eta2=eta2, eta1=eta1, o=o,
-                           s_x=s_x, s_e3=s_e3, s_e4=s_e4, s_eta2=s_eta2,
-                           s_eta1=s_eta1, s1=s1, s3=s3, s4=s4,
-                           s1_shape=s1_shape, s3_shape=s3_shape,
-                           s4_shape=s4_shape, needs=needs):
-                if not gset[o]:
-                    return
-                g = gbuf[o]
-                if needs[4]:
-                    acc(eta1, _unbroadcast(g, s_eta1))
-                gs4 = _unbroadcast(g, s4_shape)
-                s3v = vals[s3]
-                if needs[3]:
-                    acc(eta2, _unbroadcast(gs4 * s3v, s_eta2))
-                gs3 = _unbroadcast(gs4 * vals[eta2], s3_shape)
-                gs2 = gs3 * (1.0 - s3v ** 2)
-                if needs[2]:
-                    acc(e4, _unbroadcast(gs2 * vals[s1], s_e4))
-                if needs[0] or needs[1]:
-                    gs1 = _unbroadcast(gs2 * vals[e4], s1_shape)
-                    if needs[0]:
-                        acc(x_s, _unbroadcast(gs1, s_x))
-                    if needs[1]:
-                        acc(e3, _unbroadcast(-gs1, s_e3))
-
-            return back_ptanh
 
         if op == "fused_mse":
             x = node.extra

@@ -18,15 +18,16 @@ call (fresh draw per Monte-Carlo sample, Eq. 13).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..autograd import Tensor
+from ..autograd.function import Function, FunctionContext, sum_rows
 from ..autograd.tape import dynamic
 from ..nn.module import Module, Parameter
 from .pdk import DEFAULT_PDK, PrintedPDK
-from .variation import VariationSampler, ideal_sampler
+from .variation import VariationSampler, check_draws_input, ideal_sampler
 
 __all__ = ["PrintedCrossbar", "program_crossbar", "THETA_MIN", "THETA_MAX"]
 
@@ -34,6 +35,47 @@ __all__ = ["PrintedCrossbar", "program_crossbar", "THETA_MIN", "THETA_MAX"]
 #: THETA_MIN are not printable and the crossing is left open (pruned).
 THETA_MIN = 0.01
 THETA_MAX = 1.0
+
+
+class _CrossbarAffine(Function):
+    """The crossbar's full-size affine ``x·Wᵀ + bias`` as one graph node.
+
+    ``x`` is ``(..., rows, in)``, the ε-weighted ``W`` is
+    ``(..., out, in)`` and the bias ``(..., out)``; the result is
+    ``(..., rows, out)``.  Forward is one ``matmul`` and an in-place
+    bias add — the same GEMM and the same additions as
+    ``x @ W.swapaxes(-1, -2) + bias.unsqueeze(-2)`` on Tensors, so the
+    values are bit-equal to that composition.  Backward keeps the
+    engine's own GEMM shapes (``∂L/∂x = g·W``, ``∂L/∂W = (xᵀ·g)ᵀ``) and
+    reduces the bias gradient with :func:`~repro.autograd.function.sum_rows`,
+    so the gradients are bit-equal too.
+    """
+
+    @staticmethod
+    def forward(
+        ctx: FunctionContext, x: np.ndarray, w: np.ndarray, bias: np.ndarray
+    ) -> np.ndarray:
+        # Batched matmul broadcasts (batch, in) @ (draws, in, out) to
+        # (draws, batch, out) — one numpy GEMM per draw, no Python loop.
+        out = np.matmul(x, np.swapaxes(w, -1, -2))
+        out += bias[..., None, :]
+        ctx.save_for_backward(x, w)
+        return out
+
+    @staticmethod
+    def backward(
+        ctx: FunctionContext, grad: np.ndarray
+    ) -> Tuple[Optional[np.ndarray], ...]:
+        x, w = ctx.saved
+        need_x, need_w, need_bias = ctx.needs_input_grad
+        grad_x = np.matmul(grad, w) if need_x else None
+        grad_w = (
+            np.swapaxes(np.matmul(np.swapaxes(x, -1, -2), grad), -1, -2)
+            if need_w
+            else None
+        )
+        grad_bias = sum_rows(grad) if need_bias else None
+        return grad_x, grad_w, grad_bias
 
 
 class PrintedCrossbar(Module):
@@ -106,21 +148,17 @@ class PrintedCrossbar(Module):
         ----------
         x:
             Input voltages, shape ``(batch, in_features)``.  Inside a
-            batched-draws sampler context a leading Monte-Carlo axis is
-            also accepted (``(draws, batch, in_features)``), or the 2-D
-            input is broadcast across draws.
+            batched-draws sampler context a leading Monte-Carlo axis of
+            exactly the active draw count is also accepted
+            (``(draws, batch, in_features)``), or the 2-D input is
+            broadcast across draws.
 
         Returns
         -------
         Output voltages, shape ``(batch, out_features)`` — with a
         leading ``draws`` axis in batched mode.
         """
-        if x.ndim not in (2, 3) or x.shape[-1] != self.in_features:
-            raise ValueError(f"expected (batch, {self.in_features}), got {x.shape}")
-        if x.ndim == 3 and self.sampler.draws is None:
-            raise ValueError(
-                "3-D crossbar input requires an active batched-draws sampler context"
-            )
+        check_draws_input(x, self.in_features, self.sampler)
         g, g_b, g_d, _ = self._magnitudes()
 
         # In batched mode every ε gains a leading draws axis.
@@ -153,9 +191,7 @@ class PrintedCrossbar(Module):
         weights = path * g_eps / denom.unsqueeze(-1)  # (..., out, in)
         bias_sign = Tensor(dynamic(lambda: np.sign(self.theta_b.data)))
         bias = bias_sign * gb_eps / denom * self.pdk.supply_voltage  # (..., out)
-        # Batched matmul broadcasts (batch, in) @ (draws, in, out) to
-        # (draws, batch, out) — one numpy GEMM per draw, no Python loop.
-        return x @ weights.swapaxes(-1, -2) + bias.unsqueeze(-2)
+        return _CrossbarAffine.apply(x, weights, bias)
 
     # -- hardware accounting ---------------------------------------------------
 

@@ -56,12 +56,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, filter_scan, stack
+from ..autograd import Tensor, stack
+from ..autograd.function import FilterScan, FilterScanReadout
 from ..nn.module import Module, Parameter
 from ..telemetry import record_span
 from ..utils.timing import Stopwatch, mc_counters
 from .pdk import DEFAULT_PDK, PrintedPDK
-from .variation import VariationSampler, ideal_sampler
+from .variation import VariationSampler, check_draws_input, ideal_sampler
 
 __all__ = [
     "FirstOrderLearnableFilter",
@@ -103,18 +104,7 @@ def _check_filter_input(x: Tensor, num_filters: int, sampler: VariationSampler) 
     sampler context a leading draws axis is also accepted (and, when
     present, must match the active draw count).
     """
-    batched = sampler.draws is not None
-    if x.ndim == 3 and x.shape[2] == num_filters:
-        return
-    if batched and x.ndim == 4 and x.shape[3] == num_filters:
-        if x.shape[0] != sampler.draws:
-            raise ValueError(
-                f"draws axis {x.shape[0]} does not match active batch of "
-                f"{sampler.draws} Monte-Carlo draws"
-            )
-        return
-    expected = "(draws, batch, time, n) or " if batched else ""
-    raise ValueError(f"expected {expected}(batch, time, {num_filters}), got {x.shape}")
+    check_draws_input(x, num_filters, sampler, "batch, time")
 
 
 class _RCStage(Module):
@@ -177,8 +167,14 @@ class _RCStage(Module):
         return r, c
 
 
-def _unfused_recurrence(x: Tensor, a: Tensor, b: Tensor, v0: Tensor) -> Tensor:
-    """Node-per-step oracle: one autograd node per primitive per step."""
+def _unfused_recurrence(
+    x: Tensor, a: Tensor, b: Tensor, v0: Tensor, readout: bool = False
+) -> Tensor:
+    """Node-per-step oracle: one autograd node per primitive per step.
+
+    ``readout`` returns the final state ``v_T`` instead of the stacked
+    sequence.
+    """
     steps = x.shape[-2]
     if a.ndim == 2:
         # (draws, n) -> (draws, 1, n): broadcast over the batch axis.
@@ -189,7 +185,7 @@ def _unfused_recurrence(x: Tensor, a: Tensor, b: Tensor, v0: Tensor) -> Tensor:
     for k in range(steps):
         v = a * v + b * x[..., k, :]
         outputs.append(v)
-    return stack(outputs, axis=-2)
+    return v if readout else stack(outputs, axis=-2)
 
 
 def filter_stages(filters) -> "List[_RCStage]":
@@ -209,7 +205,12 @@ def filter_stages(filters) -> "List[_RCStage]":
 
 
 def _run_recurrence(
-    x: Tensor, a: Tensor, b: Tensor, v0: Tensor, backend: str = "fused"
+    x: Tensor,
+    a: Tensor,
+    b: Tensor,
+    v0: Tensor,
+    backend: str = "fused",
+    readout: bool = False,
 ) -> Tensor:
     """Apply ``v_k = a v_{k-1} + b x_k`` along the time axis.
 
@@ -222,7 +223,9 @@ def _run_recurrence(
       input ``(batch, time, n)`` (broadcast over draws) or an already
       draw-dependent ``(draws, batch, time, n)`` stack.
 
-    Returns ``(batch, time, n)`` or ``(draws, batch, time, n)``.
+    Returns ``(batch, time, n)`` or ``(draws, batch, time, n)`` — or,
+    with ``readout``, only the final step: ``(batch, n)`` or
+    ``(draws, batch, n)``.
 
     ``backend`` selects the evaluation strategy: ``"fused"`` runs the
     whole scan as one custom autograd node with an analytic adjoint
@@ -235,11 +238,31 @@ def _run_recurrence(
         raise ValueError(f"scan_backend must be one of {SCAN_BACKENDS}, got {backend!r}")
     with Stopwatch() as sw:
         if backend == "fused":
-            out = filter_scan(x, a, b, v0)
+            scan = FilterScanReadout if readout else FilterScan
+            out = scan.apply(x, a, b, v0)
         else:
-            out = _unfused_recurrence(x, a, b, v0)
+            out = _unfused_recurrence(x, a, b, v0, readout)
     mc_counters.record_scan(sw.elapsed, backend)
     record_span(f"scan.{backend}", sw.elapsed)
+    return out
+
+
+def _filter_bank(filters, x: Tensor, readout: bool) -> Tensor:
+    """Shared FO/SO implementation of ``forward`` and ``readout``.
+
+    Draws every stage's coefficients, then every stage's initial
+    voltage, in stage order, and chains the stages' recurrences.  With
+    ``readout`` the last stage returns its final step only.
+    """
+    _check_filter_input(x, filters.num_filters, filters.sampler)
+    stages = filter_stages(filters)
+    coefficients = [stage.coefficients(filters.dt, filters.sampler) for stage in stages]
+    shape = (x.shape[-3], filters.num_filters)
+    v0s = [Tensor(filters.sampler.initial_voltage(shape)) for _ in stages]
+    out = x
+    for i, ((a, b), v0) in enumerate(zip(coefficients, v0s)):
+        last = readout and i == len(stages) - 1
+        out = _run_recurrence(out, a, b, v0, backend=filters.scan_backend, readout=last)
     return out
 
 
@@ -331,10 +354,16 @@ class FirstOrderLearnableFilter(Module):
         Inside a batched-draws sampler context the output (and,
         optionally, the input) carries a leading ``draws`` axis.
         """
-        _check_filter_input(x, self.num_filters, self.sampler)
-        a, b = self.stage.coefficients(self.dt, self.sampler)
-        v0 = Tensor(self.sampler.initial_voltage((x.shape[-3], self.num_filters)))
-        return _run_recurrence(x, a, b, v0, backend=self.scan_backend)
+        return _filter_bank(self, x, readout=False)
+
+    def readout(self, x: Tensor) -> Tensor:
+        """The final step of :meth:`forward`: ``(batch, num_filters)``.
+
+        Bit-equal to ``self(x)[..., -1, :]`` in values and gradients
+        (same draws, same arithmetic), with a leading ``draws`` axis
+        inside a batched-draws sampler context.
+        """
+        return _filter_bank(self, x, readout=True)
 
     def forward_chunk(
         self, x: Tensor, state: Optional[Tuple[np.ndarray, ...]] = None
@@ -426,14 +455,17 @@ class SecondOrderLearnableFilter(Module):
         a batched-draws sampler context the output carries a leading
         ``draws`` axis.
         """
-        _check_filter_input(x, self.num_filters, self.sampler)
-        a1, b1 = self.stage1.coefficients(self.dt, self.sampler)
-        a2, b2 = self.stage2.coefficients(self.dt, self.sampler)
-        batch = x.shape[-3]
-        v0_1 = Tensor(self.sampler.initial_voltage((batch, self.num_filters)))
-        v0_2 = Tensor(self.sampler.initial_voltage((batch, self.num_filters)))
-        intermediate = _run_recurrence(x, a1, b1, v0_1, backend=self.scan_backend)
-        return _run_recurrence(intermediate, a2, b2, v0_2, backend=self.scan_backend)
+        return _filter_bank(self, x, readout=False)
+
+    def readout(self, x: Tensor) -> Tensor:
+        """The final step of :meth:`forward`: ``(batch, num_filters)``.
+
+        Stage 1 runs over every step; stage 2 runs its scan returning
+        only the last one.  Bit-equal to ``self(x)[..., -1, :]`` in
+        values and gradients, with a leading ``draws`` axis inside a
+        batched-draws sampler context.
+        """
+        return _filter_bank(self, x, readout=True)
 
     def forward_chunk(
         self, x: Tensor, state: Optional[Tuple[np.ndarray, ...]] = None

@@ -305,3 +305,35 @@ def ideal_sampler() -> VariationSampler:
 
 
 __all__.append("ideal_sampler")
+
+
+def check_draws_input(
+    x, features: int, sampler: VariationSampler, axes: str = "batch"
+) -> None:
+    """Validate a printed module's input shape against the draws context.
+
+    ``axes`` names the leading axes of one instance's input (``"batch"``
+    for the crossbar and the ptanh, ``"batch, time"`` for a filter
+    bank); the last axis must hold ``features``.  Inside a
+    :meth:`VariationSampler.batched` context a leading draws axis is
+    also accepted and must equal the active draw count exactly — one
+    draw per Monte-Carlo instance, never broadcast.
+
+    Raises
+    ------
+    ValueError
+        Naming the expected and the observed shapes.
+    """
+    rank = axes.count(",") + 2
+    batched = sampler.draws is not None
+    if x.ndim == rank and x.shape[-1] == features:
+        return
+    if batched and x.ndim == rank + 1 and x.shape[-1] == features:
+        if x.shape[0] != sampler.draws:
+            raise ValueError(
+                f"draws axis {x.shape[0]} does not match active batch of "
+                f"{sampler.draws} Monte-Carlo draws"
+            )
+        return
+    expected = f"(draws, {axes}, n) or " if batched else ""
+    raise ValueError(f"expected {expected}({axes}, {features}), got {x.shape}")

@@ -97,7 +97,8 @@ def _cmd_artifact(args: argparse.Namespace) -> int:
         print(format_table1(run_table1(config, verbose=args.verbose)))
     elif name == "table2":
         timings = run_table2(config)
-        print(render_table(["Model", "s/step"], [[k, f"{v:.4f}"] for k, v in timings.items()]))
+        print(render_table(["Model", "s / one-epoch fit"],
+                           [[k, f"{v:.4f}"] for k, v in timings.items()]))
     elif name == "table3":
         print(format_hardware_table(run_table3(config)))
     elif name == "fig5":

@@ -423,6 +423,7 @@ def run_table2(
             artefact="table2",
             dataset=dataset_name,
             model=kind,
+            # Historical key: the value is the one-epoch fit time.
             seconds_per_step=timings[kind],
             repeats=repeats,
         )

@@ -11,8 +11,8 @@ One block chains, per layer of the network:
 The crossbar and activation are memoryless, so they are applied to the
 time axis in one flattened batch; the filters carry the temporal state.
 A classifier's output block only needs its final step: :meth:`readout`
-runs the filters over the whole sequence and the crossbar and
-activation on the last step alone.
+runs the filters' recurrence over the whole sequence but keeps only
+its last step, and runs the crossbar and activation on that step alone.
 Each forward call draws a single set of variation factors ε / coupling
 factors μ / initial voltages V₀ from the block's sampler — a printed
 circuit instance is one fixed draw, constant over a sequence.
@@ -139,13 +139,15 @@ class PrintedTemporalProcessingBlock(Module):
 
         Equals ``self(x)[..., -1, :]`` (bit for bit unless the batch is
         a single series, where BLAS may pick a GEMV): the filter bank
-        runs over every step (its recurrence needs them), while the
-        memoryless crossbar and activation see only the last one.  Returns
-        ``(batch, out_features)``, or ``(draws, batch, out_features)``
-        inside a batched-draws sampler context.  Variation draws happen
-        in the same order as :meth:`forward`.
+        runs its recurrence over every step but returns only the last
+        one (:meth:`~repro.circuits.SecondOrderLearnableFilter.readout`),
+        and the memoryless crossbar and activation see only that step.
+        Returns ``(batch, out_features)``, or
+        ``(draws, batch, out_features)`` inside a batched-draws sampler
+        context.  Variation draws happen in the same order as
+        :meth:`forward`.
         """
-        last = self.filters(x)[..., -1, :]
+        last = self.filters.readout(x)
         return self.activation(self.crossbar(last))
 
     def __repr__(self) -> str:

@@ -209,8 +209,11 @@ class ElmanRNN(Module):
         final_states:
             Final hidden state per layer.
         """
-        if x.ndim != 3:
-            raise ValueError(f"expected (batch, time, features), got shape {x.shape}")
+        if x.ndim != 3 or x.shape[-1] != self.input_size:
+            raise ValueError(
+                f"expected (batch, time, {self.input_size}) = (batch, time, "
+                f"input_size), got shape {x.shape}"
+            )
         batch, steps, _ = x.shape
         if steps == 0:
             raise ValueError("expected at least one time step")

@@ -72,9 +72,9 @@ def _table2_section(record: Dict) -> List[str]:
     if not timings:
         return []
     lines = [
-        "## Table II — runtime per training step",
+        "## Table II — runtime of a one-epoch fit",
         "",
-        "| Model | Seconds / step |",
+        "| Model | Wall time / one-epoch fit |",
         "|---|---|",
     ]
     for kind, label in MODEL_LABELS.items():

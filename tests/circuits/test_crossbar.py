@@ -163,3 +163,31 @@ class TestHardwareAccounting:
     def test_rejects_bad_dims(self, bad):
         with pytest.raises(ValueError):
             PrintedCrossbar(*bad)
+
+
+class TestDrawsAxis:
+    """Inside a batched-draws context the leading axis must be the draws
+    axis, exactly; a wrong count is a clear ``ValueError``, never a
+    silent broadcast or a numpy error from inside the matmul."""
+
+    def _batched_xb(self, rng):
+        sampler = VariationSampler(model=UniformVariation(0.1), rng=np.random.default_rng(0))
+        return PrintedCrossbar(4, 3, sampler=sampler, rng=rng), sampler
+
+    @pytest.mark.parametrize("lead", [1, 3])
+    def test_rejects_wrong_draws_count(self, rng, lead):
+        xb, sampler = self._batched_xb(rng)
+        with sampler.batched(5):
+            with pytest.raises(ValueError, match=f"draws axis {lead} does not match .* 5"):
+                xb(Tensor(np.ones((lead, 2, 4))))
+
+    def test_accepts_matching_draws_and_shared_input(self, rng):
+        xb, sampler = self._batched_xb(rng)
+        with sampler.batched(5):
+            assert xb(Tensor(np.ones((5, 2, 4)))).shape == (5, 2, 3)
+            assert xb(Tensor(np.ones((2, 4)))).shape == (5, 2, 3)
+
+    def test_draws_axis_outside_batched_context_rejected(self, rng):
+        xb, _ = self._batched_xb(rng)
+        with pytest.raises(ValueError, match=r"expected \(batch, 4\)"):
+            xb(Tensor(np.ones((5, 2, 4))))

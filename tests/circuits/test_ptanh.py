@@ -79,3 +79,31 @@ class TestVariation:
         )
         x = Tensor(rng.normal(size=(3, 2)))
         assert not np.allclose(act(x).data, act(x).data)
+
+
+class TestDrawsAxis:
+    """Inside a batched-draws context the leading axis must be the draws
+    axis, exactly; a wrong count is a clear ``ValueError``, never a
+    silent broadcast or a numpy broadcast error."""
+
+    def _batched_act(self, rng):
+        sampler = VariationSampler(model=UniformVariation(0.1), rng=np.random.default_rng(0))
+        return PrintedTanh(3, sampler=sampler, rng=rng), sampler
+
+    @pytest.mark.parametrize("lead", [1, 3])
+    def test_rejects_wrong_draws_count(self, rng, lead):
+        act, sampler = self._batched_act(rng)
+        with sampler.batched(5):
+            with pytest.raises(ValueError, match=f"draws axis {lead} does not match .* 5"):
+                act(Tensor(np.zeros((lead, 2, 3))))
+
+    def test_accepts_matching_draws_and_shared_input(self, rng):
+        act, sampler = self._batched_act(rng)
+        with sampler.batched(5):
+            assert act(Tensor(np.zeros((5, 2, 3)))).shape == (5, 2, 3)
+            assert act(Tensor(np.zeros((2, 3)))).shape == (5, 2, 3)
+
+    def test_draws_axis_outside_batched_context_rejected(self, rng):
+        act, _ = self._batched_act(rng)
+        with pytest.raises(ValueError, match=r"expected \(batch, 3\)"):
+            act(Tensor(np.zeros((5, 2, 3))))

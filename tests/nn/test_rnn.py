@@ -123,3 +123,19 @@ class TestElmanInitialStateShapes:
         h0 = [Tensor(np.zeros((3, 5))), Tensor(np.zeros((3, 4)))]
         with pytest.raises(ValueError, match=r"h0\[0\].*\(3, 4\)"):
             rnn(Tensor(np.ones((3, 5, 1))), h0=h0)
+
+
+class TestInputWidth:
+    """The input's feature axis must equal ``input_size``; a mismatch is
+    a ``ValueError`` naming the expected width, raised before any GEMM."""
+
+    @pytest.mark.parametrize("width", [3, 2])
+    def test_wrong_feature_size_rejected(self, rng, width):
+        rnn = ElmanRNN(1, 4, rng=rng)
+        with pytest.raises(ValueError, match=r"\(batch, time, 1\).*input_size"):
+            rnn(Tensor(np.ones((2, 5, width))))
+
+    def test_matching_feature_size_accepted(self, rng):
+        rnn = ElmanRNN(3, 4, rng=rng)
+        out, states = rnn(Tensor(np.ones((2, 5, 3))))
+        assert out.shape == (2, 5, 4) and len(states) == 2

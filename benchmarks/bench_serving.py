@@ -2,8 +2,9 @@
 
 Drives one :class:`repro.serve.MicroBatchService` with a thread-pool of
 closed-loop clients twice — once with coalescing disabled
-(``window_s=0, max_batch=1``: every request runs its own plan forward)
-and once with the micro-batching window on — and reports QPS, latency
+(``max_batch=1``: every request runs its own plan forward) and once
+with natural batching up to ``max_batch`` (every request queued while
+a batch computes joins the next one) — and reports QPS, latency
 percentiles and the achieved batch-size distribution of each run.  The
 forward amortises almost perfectly over the batch dimension (one GEMM
 per layer regardless of rows), so the batched configuration should
@@ -96,7 +97,6 @@ def run(
     n_requests: int = 200,
     clients: int = 16,
     steps: int = 48,
-    window_ms: float = 5.0,
     max_batch: int = 32,
     run_root=None,
 ) -> dict:
@@ -120,22 +120,17 @@ def run(
 
     unbatched = one_config(
         "unbatched",
-        ServeOptions(window_s=0.0, max_batch=1, queue_size=max(128, n_requests)),
+        ServeOptions(max_batch=1, queue_size=max(128, n_requests)),
     )
     batched = one_config(
         "batched",
-        ServeOptions(
-            window_s=window_ms / 1e3,
-            max_batch=max_batch,
-            queue_size=max(128, n_requests),
-        ),
+        ServeOptions(max_batch=max_batch, queue_size=max(128, n_requests)),
     )
 
     return {
         "n_requests": n_requests,
         "clients": clients,
         "steps": steps,
-        "window_ms": window_ms,
         "max_batch": max_batch,
         "cpu_count": os.cpu_count() or 1,
         "unbatched": unbatched,
@@ -166,7 +161,6 @@ def main() -> int:
     parser.add_argument("--requests", type=int, default=200)
     parser.add_argument("--clients", type=int, default=16)
     parser.add_argument("--steps", type=int, default=48)
-    parser.add_argument("--window-ms", type=float, default=5.0)
     parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument(
         "--assert-speedup",
@@ -186,7 +180,6 @@ def main() -> int:
         n_requests=args.requests,
         clients=args.clients,
         steps=args.steps,
-        window_ms=args.window_ms,
         max_batch=args.max_batch,
         run_root=args.run_root,
     )

@@ -594,7 +594,12 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate_grad(grad.reshape(original))
+                g = grad.reshape(original)  # a copy when not a view: install it
+                if (self.grad is None and g.dtype == self.data.dtype
+                        and not np.may_share_memory(g, grad)):
+                    self.grad = g
+                else:
+                    self._accumulate_grad(g)
 
         attrs = {"shape": tuple(shape)} if _tracer is not None else None
         return Tensor._from_op(data, (self,), backward_fn, "reshape", attrs)

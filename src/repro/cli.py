@@ -491,13 +491,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     trainer.fit(dataset.x_train, dataset.y_train, dataset.x_val, dataset.y_val)
 
     options = ServeOptions(
-        window_s=args.window_ms / 1e3,
         max_batch=args.max_batch,
         queue_size=args.queue_size,
         max_sessions=args.max_sessions,
-        stream_window_s=(
-            None if args.stream_window_ms is None else args.stream_window_ms / 1e3
-        ),
         workers=args.workers,
         precision=args.precision,
     )
@@ -884,9 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8000, help="0 binds an ephemeral port")
-    p.add_argument(
-        "--window-ms", type=float, default=2.0, help="micro-batching window"
-    )
     p.add_argument("--max-batch", type=int, default=32, help="largest coalesced batch")
     p.add_argument("--queue-size", type=int, default=128, help="bounded request queue")
     p.add_argument(
@@ -894,13 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="streaming-session LRU cap = fleet rows per model",
-    )
-    p.add_argument(
-        "--stream-window-ms",
-        type=float,
-        default=None,
-        help="fleet coalesce window for /predict_stream chunks "
-        "(default: --window-ms; 0 disables coalescing)",
     )
     p.add_argument(
         "--workers",

@@ -589,8 +589,9 @@ def _serve_section(events: List[Dict]) -> List[str]:
     lines = ["## Serving", ""]
     if start:
         lines.append(
-            f"* micro-batching: window {start.get('window_s', 0.0)*1e3:.1f} ms, "
-            f"max batch {start.get('max_batch', '?')}, "
+            # ``window_s`` is absent since batching stopped waiting on a
+            # timer; older runs' events still carry it and are ignored.
+            f"* micro-batching: max batch {start.get('max_batch', '?')}, "
             f"queue {start.get('queue_size', '?')}, "
             f"workers {start.get('workers', 0)}, "
             f"precision {start.get('precision', 'inherit')}"

@@ -5,8 +5,8 @@ The deployment face of the reproduction (ROADMAP item 1).  A trained
 graph-free :class:`~repro.compile.ForwardPlan` (bit-equal to the live
 model — see ``tests/compile/test_plan.py``) and served by:
 
-* :class:`MicroBatchService` — bounded request queue, micro-batching
-  window coalescing concurrent requests into one
+* :class:`MicroBatchService` — bounded request queue, natural
+  batching of the compatible requests queued together into one
   ``(batch, time, features)`` forward, per-model LRU of compiled plans,
   optional crash-isolated worker processes, and graceful degradation
   (queue-full rejections, per-request timeouts, worker restarts);

@@ -7,12 +7,13 @@ HTTP layer:
   :class:`~repro.serve.errors.QueueFullError` immediately
   (backpressure; the HTTP layer maps it to 503) instead of letting
   latency grow without bound;
-* a **dispatcher thread** that coalesces compatible queued requests
-  (same model, same ``(time, features)`` shape) into one
-  ``(batch, time, features)`` plan forward.  A batch closes when it
-  reaches ``max_batch``, the batching ``window_s`` expires, or an
-  incompatible request arrives (which immediately starts the next
-  batch — it is never reordered past);
+* **batch threads** that batch naturally: each takes the oldest
+  queued request, adds the compatible ones (same model, same ``(time,
+  features)`` shape) already queued behind it, and runs the ``(batch,
+  time, features)`` plan forward itself — no timer (see
+  :class:`ServeOptions` for when a batch closes).  One thread runs
+  in-process plans (they share scratch arenas); a worker pool gets one
+  per worker;
 * a :class:`~repro.serve.registry.PlanRegistry` LRU of frozen
   :class:`~repro.compile.ForwardPlan` artifacts;
 * optionally a :class:`~repro.serve.workers.PlanWorkerPool` executing
@@ -21,13 +22,13 @@ HTTP layer:
   compare against);
 * a **fleet scheduler** for ``/predict_stream``: every hosted
   streaming session is one row of a per-model
-  :class:`~repro.core.MultiStreamSession`, and a dedicated stream
-  dispatcher coalesces concurrent chunks for the same model (one per
-  session, any lengths) into a single batched fleet step — the
-  per-step Python overhead amortises across every active stream
-  instead of being paid per session.  Row bit-equality to a lone
+  :class:`~repro.core.MultiStreamSession`, and one fleet thread batches
+  the queued chunks of one model (one per session, any lengths) the
+  same way into a single batched fleet step — the per-step Python
+  overhead amortises across every active stream instead of being paid
+  per session.  Row bit-equality to a lone
   :class:`~repro.core.StreamingSession` is the engine's contract, so
-  coalescing never changes anyone's logits.  The stream queue is
+  batching never changes anyone's logits.  The stream queue is
   bounded like the request queue (full → :class:`QueueFullError` →
   HTTP 503 + ``Retry-After``), and LRU eviction under
   ``max_sessions`` pressure detaches the session's fleet row
@@ -40,7 +41,7 @@ GEMM kernel per batch shape — see ``docs/SERVING.md``).
 
 All ``serve.*`` telemetry flows through the active
 :class:`repro.telemetry.Run` (no-op when none is active), serialised by
-an internal lock because dispatcher/executor threads emit concurrently.
+an internal lock because batch threads emit concurrently.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import threading
 import time
 import uuid
 from collections import OrderedDict, deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Dict, List, Optional, Tuple
 
@@ -70,7 +71,7 @@ from .workers import PlanWorkerPool
 
 __all__ = ["MicroBatchService", "ServeOptions"]
 
-#: Dispatcher shutdown sentinel.
+#: Batch-thread shutdown sentinel (one per thread).
 _STOP = object()
 
 
@@ -78,12 +79,12 @@ _STOP = object()
 class ServeOptions:
     """Tuning knobs of the micro-batching service.
 
-    ``window_s = 0`` (or ``max_batch = 1``) disables coalescing — every
-    request runs alone, which is the unbatched baseline the serving
-    benchmark measures speedup against.
+    A batch closes at ``max_batch``, when no request is left queued, or
+    at an incompatible one (held back to start the next) — never on a
+    timer.  ``max_batch = 1`` runs every request alone: the unbatched
+    baseline the serving benchmark measures speedup against.
     """
 
-    window_s: float = 0.002
     max_batch: int = 32
     queue_size: int = 128
     request_timeout_s: float = 10.0
@@ -95,32 +96,19 @@ class ServeOptions:
     #: Bounded queue of pending stream chunks (full → 503, like
     #: ``queue_size`` for ``/predict``).
     stream_queue_size: int = 128
-    #: Coalesce window of the fleet scheduler; ``None`` inherits
-    #: ``window_s``.  ``0`` steps every chunk alone (the unbatched
-    #: baseline ``bench_streaming.py --multi`` measures against).
-    stream_window_s: Optional[float] = None
     precision: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.window_s < 0:
-            raise ValueError("window_s must be >= 0")
         if self.max_batch < 1 or self.queue_size < 1 or self.plan_capacity < 1:
             raise ValueError("max_batch, queue_size and plan_capacity must be >= 1")
         if self.max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         if self.stream_queue_size < 1:
             raise ValueError("stream_queue_size must be >= 1")
-        if self.stream_window_s is not None and self.stream_window_s < 0:
-            raise ValueError("stream_window_s must be >= 0 (or None)")
         if self.request_timeout_s <= 0 or self.batch_timeout_s <= 0:
             raise ValueError("timeouts must be positive")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-
-    @property
-    def effective_stream_window_s(self) -> float:
-        """The fleet scheduler's coalesce window."""
-        return self.window_s if self.stream_window_s is None else self.stream_window_s
 
 
 class _Request:
@@ -188,8 +176,40 @@ class _Fleet:
         self.dead_lock = threading.Lock()
 
 
+def _fail(requests, exc: BaseException) -> None:
+    """Deliver ``exc`` to every waiter in ``requests`` still pending."""
+    for request in requests:
+        if not request.future.done():
+            request.future.set_exception(exc)
+
+
+def _stop(q: "queue.Queue", threads: List[threading.Thread], leftovers: list) -> None:
+    """Queue one sentinel per thread, even into a wedged-full queue, and join.
+
+    Pending requests are displaced into ``leftovers`` (the caller fails
+    them) rather than stalling shutdown behind threads that may never
+    drain them.
+    """
+    owed, deadline = len(threads), time.perf_counter() + 10.0
+    while owed and time.perf_counter() < deadline:
+        try:
+            q.put_nowait(_STOP)
+            owed -= 1
+        except queue.Full:
+            try:
+                item = q.get_nowait()
+            except queue.Empty:
+                continue
+            if item is _STOP:
+                owed += 1
+            else:
+                leftovers.append(item)
+    for thread in threads:
+        thread.join(timeout=10.0)
+
+
 class MicroBatchService:
-    """The serving core: registry + queue + dispatcher (+ worker pool)."""
+    """The serving core: registry + queue + batch threads (+ worker pool)."""
 
     def __init__(self, options: Optional[ServeOptions] = None) -> None:
         self.options = options if options is not None else ServeOptions()
@@ -218,35 +238,29 @@ class MicroBatchService:
             on_evict=self._on_plan_evict,
         )
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.options.queue_size)
-        # In-process plans share scratch arenas -> exactly one executor
+        # In-process plans share scratch arenas -> exactly one batch
         # thread then; with a worker pool, one thread per worker keeps
         # every process busy.
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, self.options.workers),
-            thread_name_prefix="serve-batch",
-        )
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatch", daemon=True
-        )
-        self._dispatcher.start()
-        # Stream chunks coalesce through their own bounded queue and
-        # dispatcher: a stateful chunk can never join a /predict batch,
-        # but chunks of *different* sessions of the same model step
-        # together as one fleet advance.
+        self._batch_threads = [
+            threading.Thread(
+                target=self._batch_loop, name=f"serve-batch-{k}", daemon=True
+            )
+            for k in range(max(1, self.options.workers))
+        ]
+        # Stream chunks batch through their own bounded queue and fleet
+        # thread: a stateful chunk can never join a /predict batch, but
+        # chunks of *different* sessions of the same model step together
+        # as one fleet advance.
         self._stream_queue: "queue.Queue" = queue.Queue(
             maxsize=self.options.stream_queue_size
         )
-        self._stream_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-fleet"
+        self._stream_thread = threading.Thread(
+            target=self._stream_batch_loop, name="serve-fleet", daemon=True
         )
-        self._stream_dispatcher = threading.Thread(
-            target=self._stream_dispatch_loop, name="serve-stream-dispatch",
-            daemon=True,
-        )
-        self._stream_dispatcher.start()
+        for thread in (*self._batch_threads, self._stream_thread):
+            thread.start()
         self._emit(
             "serve.start",
-            window_s=self.options.window_s,
             max_batch=self.options.max_batch,
             queue_size=self.options.queue_size,
             workers=self.options.workers,
@@ -336,6 +350,8 @@ class MicroBatchService:
             status="ok",
             latency_ms=latency * 1e3,
             batch_size=outcome["batch_size"],
+            wait_ms=outcome["wait_s"] * 1e3,
+            exec_ms=outcome["exec_s"] * 1e3,
         )
         logits = outcome["logits"]
         return {
@@ -512,8 +528,8 @@ class MicroBatchService:
 
         Chunks go through the bounded stream queue (full →
         :class:`QueueFullError`, HTTP 503 + ``Retry-After``) to the
-        fleet dispatcher, which coalesces concurrent chunks of the
-        same model — at most one in-flight chunk per session, so
+        fleet thread, which steps the queued chunks of one model
+        together — at most one chunk per session in a step, so
         per-session FIFO order is preserved.
         """
         if self._closed:
@@ -598,6 +614,8 @@ class MicroBatchService:
             status="ok",
             latency_ms=latency * 1e3,
             batch_size=int(logits.shape[0]),
+            wait_ms=outcome["wait_s"] * 1e3,
+            exec_ms=outcome["exec_s"] * 1e3,
             stream=True,
         )
         return {
@@ -611,46 +629,35 @@ class MicroBatchService:
             "latency_ms": latency * 1e3,
         }
 
-    def _stream_dispatch_loop(self) -> None:
-        """Coalesce pending stream chunks into per-model fleet batches.
+    def _stream_batch_loop(self) -> None:
+        """The fleet thread: step the queued chunks of one model together.
 
-        Held-back chunks (other model, or a second chunk of a session
-        already in the forming batch) stay in arrival order in ``held``
+        Takes the oldest chunk and adds, without waiting, every queued
+        chunk of the same model whose session is not already in the
+        batch.  Held-back chunks (other model, or a second chunk of a
+        session already in the batch) stay in arrival order in ``held``
         and seed subsequent batches — per-session FIFO is preserved
         because ``held`` is always scanned before the queue.
         """
-        window = self.options.effective_stream_window_s
         cap = self.options.max_sessions
         held: deque = deque()
-        while True:
+        stop = False
+        while not stop:
             item = held.popleft() if held else self._stream_queue.get()
             if item is _STOP:
                 break
-            batch = [item]
-            sids = {item.session_id}
-            model = item.name
-            deadline = time.perf_counter() + window
+            batch, sids, model = [item], {item.session_id}, item.name
             still: deque = deque()
-            while held:
-                nxt = held.popleft()
-                if (
-                    nxt is not _STOP
-                    and len(batch) < cap
-                    and nxt.name == model
-                    and nxt.session_id not in sids
-                ):
+            for nxt in held:
+                if len(batch) < cap and nxt.name == model and nxt.session_id not in sids:
                     batch.append(nxt)
                     sids.add(nxt.session_id)
                 else:
                     still.append(nxt)
             held = still
-            stop = False
             while len(batch) < cap:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
                 try:
-                    nxt = self._stream_queue.get(timeout=remaining)
+                    nxt = self._stream_queue.get_nowait()
                 except queue.Empty:
                     break
                 if nxt is _STOP:
@@ -663,27 +670,21 @@ class MicroBatchService:
                     held.append(nxt)
             live = [r for r in batch if r.future.set_running_or_notify_cancel()]
             if live:
-                self._stream_executor.submit(self._run_stream_batch, live)
-            if stop:
-                break
-        failure = ServeError("service closed")
-        for leftover in held:
-            if leftover is not _STOP and not leftover.future.done():
-                leftover.future.set_exception(failure)
+                try:
+                    self._run_stream_batch(live)
+                except Exception as exc:  # noqa: BLE001 — a fault outside the step
+                    _fail(live, exc)
+        _fail(held, ServeError("service closed"))
 
     def _run_stream_batch(self, live: List[_StreamRequest]) -> None:
-        """Advance one model's fleet by one coalesced ragged batch."""
+        """Advance one model's fleet by one batched ragged step."""
         model = live[0].name
-        wait_ms = (time.perf_counter() - live[0].submitted) * 1e3
+        t0 = time.perf_counter()
         with self._fleets_lock:
             fleet = self._fleets.get(model)
         if fleet is None:  # pragma: no cover — opens precede chunks
-            exc = UnknownSessionError(f"no fleet for model {model!r}")
-            for r in live:
-                if not r.future.done():
-                    r.future.set_exception(exc)
+            _fail(live, UnknownSessionError(f"no fleet for model {model!r}"))
             return
-        t0 = time.perf_counter()
         with fleet.lock:
             self._drain_dead_rows(fleet)
             ready = []
@@ -712,9 +713,7 @@ class MicroBatchService:
                 }
                 occupancy = fleet.engine.occupancy
             except BaseException as exc:  # noqa: BLE001 — delivered to waiters
-                for r in ready:
-                    if not r.future.done():
-                        r.future.set_exception(exc)
+                _fail(ready, exc)
                 self._emit(
                     "stream.batch.step",
                     model=model,
@@ -723,9 +722,10 @@ class MicroBatchService:
                     error=f"{type(exc).__name__}: {exc}",
                 )
                 return
-        exec_ms = (time.perf_counter() - t0) * 1e3
+        exec_s = time.perf_counter() - t0
+        waits = [t0 - r.submitted for r in ready]
         steps = max(r.chunk.shape[0] for r in ready)
-        self.stats.record_stream_batch(len(ready), steps, occupancy)
+        self.stats.record_stream_batch(len(ready), steps, occupancy, waits, exec_s)
         self._emit(
             "stream.batch.step",
             model=model,
@@ -733,55 +733,60 @@ class MicroBatchService:
             steps=steps,
             occupancy=occupancy,
             capacity=fleet.engine.capacity,
-            wait_ms=wait_ms,
-            exec_ms=exec_ms,
+            wait_ms=waits[0] * 1e3,
+            exec_ms=exec_s * 1e3,
         )
-        for r in ready:
+        for r, wait in zip(ready, waits):
             if not r.future.done():
                 r.future.set_result(
                     {
                         "logits": results[r.entry.row],
                         "steps_seen": steps_seen[r.entry.row],
                         "batch_rows": len(ready),
+                        "wait_s": wait,
+                        "exec_s": exec_s,
                     }
                 )
 
-    # -- dispatcher ------------------------------------------------------
+    # -- batch threads ---------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        opts = self.options
-        pending = None
+    def _batch_loop(self) -> None:
+        """One batch thread: take the oldest request, add the compatible
+        requests already queued behind it (no waiting), run the batch.
+
+        An incompatible request (other model or shape) closes the batch
+        and is held back to start this thread's next one.
+        """
+        max_batch = self.options.max_batch
+        held = None
         while True:
-            item = pending if pending is not None else self._queue.get()
-            pending = None
+            item = held if held is not None else self._queue.get()
+            held = None
             if item is _STOP:
                 break
             batch = [item]
-            deadline = time.perf_counter() + opts.window_s
-            while len(batch) < opts.max_batch:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
+            while len(batch) < max_batch:
                 try:
-                    nxt = self._queue.get(timeout=remaining)
+                    nxt = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if nxt is _STOP or not (
                     nxt.name == item.name and nxt.series.shape == item.series.shape
                 ):
-                    # Incompatible (or shutdown): flush what we have, the
-                    # held-back item seeds the next batch.
-                    pending = nxt
+                    held = nxt
                     break
                 batch.append(nxt)
             depth = self._queue.qsize()
             live = [r for r in batch if r.future.set_running_or_notify_cancel()]
             if live:
-                self._executor.submit(self._run_batch, live, depth)
+                try:
+                    self._run_batch(live, depth)
+                except Exception as exc:  # noqa: BLE001 — a fault outside the plan
+                    _fail(live, exc)
 
-    def _run_batch(self, live, depth: int) -> None:
+    def _run_batch(self, live: List[_Request], depth: int) -> None:
+        """Run one batch's plan forward and resolve its futures."""
         name = live[0].name
-        wait_ms = (time.perf_counter() - live[0].submitted) * 1e3
         t0 = time.perf_counter()
         try:
             plan, _ = self.registry.plan(name)
@@ -793,9 +798,7 @@ class MicroBatchService:
             else:
                 logits = plan(x)
         except BaseException as exc:  # noqa: BLE001 — delivered to every waiter
-            for request in live:
-                if not request.future.done():
-                    request.future.set_exception(exc)
+            _fail(live, exc)
             self._emit(
                 "serve.batch",
                 model=name,
@@ -805,20 +808,26 @@ class MicroBatchService:
                 error=f"{type(exc).__name__}: {exc}",
             )
             return
-        exec_ms = (time.perf_counter() - t0) * 1e3
-        self.stats.record_batch(len(live), depth)
+        exec_s = time.perf_counter() - t0
+        waits = [t0 - r.submitted for r in live]
+        self.stats.record_batch(len(live), depth, waits, exec_s)
         self._emit(
             "serve.batch",
             model=name,
             size=len(live),
             queue_depth=depth,
-            wait_ms=wait_ms,
-            exec_ms=exec_ms,
+            wait_ms=waits[0] * 1e3,
+            exec_ms=exec_s * 1e3,
         )
         for i, request in enumerate(live):
             if not request.future.done():
                 request.future.set_result(
-                    {"logits": np.array(logits[i]), "batch_size": len(live)}
+                    {
+                        "logits": np.array(logits[i]),
+                        "batch_size": len(live),
+                        "wait_s": waits[i],
+                        "exec_s": exec_s,
+                    }
                 )
 
     # -- lifecycle -------------------------------------------------------
@@ -830,47 +839,21 @@ class MicroBatchService:
         return snapshot
 
     def close(self) -> None:
-        """Drain, stop the dispatcher/executor/pool, emit final stats."""
+        """Drain, stop the batch threads and the pool, emit final stats."""
         if self._closed:
             return
         self._closed = True
-        # Insert the dispatcher sentinel even into a wedged-full queue:
-        # displace pending requests (failed below) rather than stalling
-        # shutdown behind a dispatcher that may never drain them.
-        leftovers = []
-        while True:
-            try:
-                self._queue.put_nowait(_STOP)
-                break
-            except queue.Full:
-                try:
-                    leftovers.append(self._queue.get_nowait())
-                except queue.Empty:
-                    pass
-        self._dispatcher.join(timeout=10.0)
-        self._executor.shutdown(wait=True)
-        # Same drill for the stream dispatcher and its queue.
-        while True:
-            try:
-                self._stream_queue.put_nowait(_STOP)
-                break
-            except queue.Full:
-                try:
-                    leftovers.append(self._stream_queue.get_nowait())
-                except queue.Empty:
-                    pass
-        self._stream_dispatcher.join(timeout=10.0)
-        self._stream_executor.shutdown(wait=True)
-        # Fail anything the dispatchers never picked up.
+        leftovers: list = []
+        _stop(self._queue, self._batch_threads, leftovers)
+        _stop(self._stream_queue, [self._stream_thread], leftovers)
+        # Fail anything the threads never picked up.
         for q in (self._queue, self._stream_queue):
             while True:
                 try:
                     leftovers.append(q.get_nowait())
                 except queue.Empty:
                     break
-        for leftover in leftovers:
-            if leftover is not _STOP and not leftover.future.done():
-                leftover.future.set_exception(ServeError("service closed"))
+        _fail((r for r in leftovers if r is not _STOP), ServeError("service closed"))
         if self._pool is not None:
             self._pool.close()
         with self._sessions_lock:

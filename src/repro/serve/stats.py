@@ -4,7 +4,9 @@ One :class:`ServeStats` instance aggregates everything the ``/stats``
 endpoint, the ``serve.stats`` telemetry event and the serving benchmark
 report.  Latencies are kept in a bounded window (newest
 ``latency_window`` requests) so a long-lived server's percentiles track
-recent behaviour instead of averaging over its whole lifetime.
+recent behaviour instead of averaging over its whole lifetime.  Each
+batched request's latency is also split into its parts: the queue wait
+(submit → its batch starts) and the compute time (its batch's run).
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ from collections import Counter, deque
 from typing import Dict, List
 
 __all__ = ["ServeStats", "percentile"]
+
+
+def _tails_ms(seconds: List[float]) -> Dict[str, float]:
+    """The p50 and p99 of ``seconds``, in milliseconds."""
+    return {"p50": percentile(seconds, 50) * 1e3, "p99": percentile(seconds, 99) * 1e3}
 
 
 def percentile(values: List[float], q: float) -> float:
@@ -32,6 +39,8 @@ class ServeStats:
     def __init__(self, latency_window: int = 4096) -> None:
         self._lock = threading.Lock()
         self._latencies: deque = deque(maxlen=latency_window)
+        self._waits: deque = deque(maxlen=latency_window)
+        self._execs: deque = deque(maxlen=latency_window)
         self._status = Counter()
         self._batch_sizes = Counter()
         self._batches = 0
@@ -63,9 +72,13 @@ class ServeStats:
                 self._first_request = now
             self._last_request = now
 
-    def record_batch(self, size: int, queue_depth: int) -> None:
-        """One executed micro-batch and the queue depth at formation."""
+    def record_batch(self, size: int, queue_depth: int,
+                     waits_s: List[float], exec_s: float) -> None:
+        """One executed micro-batch, the queue depth at formation, each
+        request's queue wait and the batch's compute time."""
         with self._lock:
+            self._waits.extend(waits_s)
+            self._execs.extend([exec_s] * len(waits_s))
             self._batches += 1
             self._batched_requests += size
             self._batch_sizes[int(size)] += 1
@@ -75,11 +88,14 @@ class ServeStats:
         with self._lock:
             self._worker_restarts += 1
 
-    def record_stream_batch(self, rows: int, steps: int, occupancy: int) -> None:
+    def record_stream_batch(self, rows: int, steps: int, occupancy: int,
+                            waits_s: List[float], exec_s: float) -> None:
         """One executed fleet step batch: how many stream rows advanced
-        together, the longest chunk in the batch, and the fleet
-        occupancy at execution."""
+        together, the longest chunk in the batch, the fleet occupancy at
+        execution, each chunk's queue wait and the step's compute time."""
         with self._lock:
+            self._waits.extend(waits_s)
+            self._execs.extend([exec_s] * len(waits_s))
             self._stream_batches += 1
             self._stream_rows += rows
             self._stream_steps += steps
@@ -124,6 +140,8 @@ class ServeStats:
                     if latencies
                     else 0.0,
                 },
+                "wait_ms": _tails_ms(list(self._waits)),
+                "exec_ms": _tails_ms(list(self._execs)),
                 "batches": self._batches,
                 "mean_batch_size": mean_batch,
                 "batch_size_histogram": {

@@ -98,18 +98,19 @@ Well-known kinds
     that session 404s (``UnknownSessionError``).
 ``serve.start`` / ``serve.end``
     Emitted by :class:`repro.serve.MicroBatchService` on creation and
-    close: the serving options (window, batch/queue bounds, worker
-    count, precision); the end event carries the final stats snapshot
+    close: the serving options (batch/queue bounds, worker count,
+    precision); the end event carries the final stats snapshot
     (total requests, QPS, latency percentiles, batch histogram).
 ``serve.request``
     One per answered ``/predict`` request: ``model``, ``status``
-    (``ok``/``error``), ``latency_ms`` (submit → result, including the
-    batching window) and ``batch_size`` (companions it was coalesced
-    with).
+    (``ok``/``error``), ``latency_ms`` (submit → result),
+    ``batch_size`` (companions it was coalesced with), and its parts
+    ``wait_ms`` (submit → its batch starts) and ``exec_ms`` (its
+    batch's compute).
 ``serve.batch``
     One per executed micro-batch: ``model``, ``size``, ``queue_depth``
-    at formation, ``wait_ms`` (window time) and ``exec_ms`` (plan
-    forward, including worker round-trip).
+    at formation, ``wait_ms`` (its oldest request's queue wait) and
+    ``exec_ms`` (plan forward, including worker round-trip).
 ``serve.queue_full`` / ``serve.timeout``
     Graceful-degradation markers: a request rejected because the
     bounded queue was full (HTTP 503), or one whose result did not

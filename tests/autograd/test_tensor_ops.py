@@ -209,6 +209,49 @@ class TestShapeGradients:
         check_gradients(lambda a: a.unsqueeze(0).tanh(), [x])
 
 
+class TestReshapeGradHandOff:
+    """``reshape``'s backward copies the incoming gradient at most once."""
+
+    @staticmethod
+    def _accumulated(monkeypatch):
+        """Tensors that receive a gradient through ``_accumulate_grad``."""
+        seen = []
+        inner = Tensor._accumulate_grad
+
+        def spy(self, grad):
+            seen.append(self)
+            inner(self, grad)
+
+        monkeypatch.setattr(Tensor, "_accumulate_grad", spy)
+        return seen
+
+    def test_copying_reshape_installs_its_copy(self, monkeypatch, x, y):
+        a = Tensor(x, requires_grad=True)
+        b = a.reshape(4, 3)
+        # ``b``'s gradient arrives transposed, so reshaping it back copies.
+        loss = (b.T.tanh() * y).sum()
+        seen = self._accumulated(monkeypatch)
+        loss.backward()
+        assert not b.grad.flags.c_contiguous
+        assert all(t is not a for t in seen)  # the reshape's copy, as is
+        assert not np.may_share_memory(a.grad, b.grad)
+        expected = ((1 - np.tanh(x.reshape(4, 3).T) ** 2) * y).T.reshape(3, 4)
+        np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
+        (a.reshape(4, 3).T.tanh() * y).sum().backward()  # adds into that buffer
+        np.testing.assert_allclose(a.grad, 2 * expected, rtol=1e-12)
+        check_gradients(lambda t: (t.reshape(4, 3).T.tanh() * y).sum(), [x])
+
+    def test_view_reshape_copies_once(self, monkeypatch, x):
+        a = Tensor(x, requires_grad=True)
+        b = a.reshape(12)
+        seen = self._accumulated(monkeypatch)
+        b.tanh().sum().backward()
+        assert b.grad.flags.c_contiguous  # the reshape back is a view...
+        assert any(t is a for t in seen)  # ...so accumulation copies it
+        assert not np.may_share_memory(a.grad, b.grad)
+        np.testing.assert_allclose(a.grad, 1 - np.tanh(x) ** 2, rtol=1e-12)
+
+
 class TestComparisons:
     def test_comparisons_return_numpy(self):
         a = Tensor([1.0, 2.0, 3.0])

@@ -7,6 +7,8 @@ Worker-process faults live in ``test_workers.py``; the HTTP transport
 in ``test_service.py``.
 """
 
+import queue
+import sys
 import threading
 
 import numpy as np
@@ -26,6 +28,8 @@ from repro.serve import (
 )
 from repro.telemetry import Run, read_events
 
+from .conftest import fork_only
+
 pytestmark = pytest.mark.serve
 
 
@@ -37,9 +41,9 @@ def make_service(model, name="demo", **kw):
 
 @pytest.fixture
 def stalled_service(monkeypatch, served_model):
-    """A service whose dispatcher never drains the queue — the
+    """A service whose batch thread never drains the queue — the
     deterministic way to exercise backpressure and request timeouts."""
-    monkeypatch.setattr(MicroBatchService, "_dispatch_loop", lambda self: None)
+    monkeypatch.setattr(MicroBatchService, "_batch_loop", lambda self: None)
     svc = make_service(served_model, queue_size=2)
     yield svc
     svc.close()
@@ -56,36 +60,48 @@ class TestBatching:
             assert result["batch_size"] == 1
             assert result["latency_ms"] > 0
 
-    def test_concurrent_requests_coalesce_into_one_batch(self, served_model, series, t):
-        # Submit from one thread inside a generous window: the
-        # dispatcher grabs the first request and must wait out the
-        # window, during which the rest are already queued.
-        with make_service(served_model, window_s=t(0.25), max_batch=8) as svc:
+    def test_concurrent_requests_coalesce_into_one_batch(
+        self, served_model, series, gate, t
+    ):
+        # The batch thread is held inside a plug batch while six
+        # requests queue; it then takes all six without waiting.
+        with make_service(served_model, max_batch=8) as svc:
+            hold = gate(svc)
+            plug = svc.submit("demo", series)
+            hold.wait_entered()
             futures = [svc.submit("demo", series) for _ in range(6)]
+            hold.release()
+            assert plug.result(timeout=t(10.0))["batch_size"] == 1
             results = [f.result(timeout=t(10.0)) for f in futures]
         sizes = {r["batch_size"] for r in results}
         assert sizes == {6}
         logits = [r["logits"] for r in results]
         assert all(np.array_equal(logits[0], other) for other in logits[1:])
         snap = svc.stats.snapshot()
-        assert snap["batches"] == 1
-        assert snap["batch_size_histogram"] == {"6": 1}
+        assert snap["batches"] == 2
+        assert snap["batch_size_histogram"] == {"1": 1, "6": 1}
 
-    def test_prediction_independent_of_batch_companions(self, served_model, series, t):
+    def test_prediction_independent_of_batch_companions(
+        self, served_model, series, gate, t
+    ):
         """The determinism contract: same series, any companions ->
         same prediction, logits to accumulation tolerance."""
-        with make_service(served_model, window_s=0.0, max_batch=1) as svc:
+        with make_service(served_model, max_batch=1) as svc:
             baseline = svc.predict("demo", series)
         rng = np.random.default_rng(5)
         companions = [
             np.clip(np.cumsum(rng.normal(0, 0.3, series.shape[0])), -1, 1)
             for _ in range(5)
         ]
-        with make_service(served_model, window_s=t(0.25), max_batch=8) as svc:
+        with make_service(served_model, max_batch=8) as svc:
+            hold = gate(svc)
+            svc.submit("demo", series)
+            hold.wait_entered()
             futures = [svc.submit("demo", series)]
             futures += [svc.submit("demo", c) for c in companions]
+            hold.release()
             batched = futures[0].result(timeout=t(10.0))
-        assert batched["batch_size"] > 1
+        assert batched["batch_size"] == 6
         assert int(np.argmax(batched["logits"])) == baseline["prediction"]
         np.testing.assert_allclose(
             batched["logits"], baseline["logits"], rtol=0, atol=1e-9
@@ -96,7 +112,7 @@ class TestBatching:
         inputs = [
             np.clip(np.cumsum(rng.normal(0, 0.3, 24)), -1, 1) for _ in range(12)
         ]
-        with make_service(served_model, window_s=t(0.02), max_batch=4) as svc:
+        with make_service(served_model, max_batch=4) as svc:
             plan, _ = svc.registry.plan("demo")
             expected = [plan.predict(s) for s in inputs]
             results = [None] * len(inputs)
@@ -117,21 +133,127 @@ class TestBatching:
         assert [r["prediction"] for r in results] == expected
         assert svc.stats.snapshot()["by_status"] == {"ok": len(inputs)}
 
-    def test_incompatible_shapes_split_batches(self, served_model, t):
+    @fork_only
+    def test_worker_batch_threads_share_one_queue(self, served_model, t):
+        """One batch thread per plan worker, all draining one queue: with
+        more threads than cores and a short switch interval, every
+        request is still answered once and correctly."""
+        rng = np.random.default_rng(17)
+        inputs = [np.clip(np.cumsum(rng.normal(0, 0.3, 24)), -1, 1) for _ in range(16)]
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with make_service(served_model, workers=3, max_batch=4,
+                              batch_timeout_s=t(30.0)) as svc:
+                plan, _ = svc.registry.plan("demo")
+                expected = [plan.predict(s) for s in inputs]
+
+                def client(k):
+                    for i, s in enumerate(inputs):
+                        results[k, i] = svc.predict("demo", s, timeout=t(30.0))
+
+                threads = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=t(60.0))
+                assert not any(th.is_alive() for th in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 64
+        assert all(r["prediction"] == expected[i] for (_, i), r in results.items())
+        snap = svc.stats.snapshot()
+        assert snap["by_status"] == {"ok": 64}
+        assert snap["mean_batch_size"] * snap["batches"] == pytest.approx(64)
+
+    def test_incompatible_shapes_split_batches(self, served_model, gate, t):
         rng = np.random.default_rng(3)
         long = np.clip(np.cumsum(rng.normal(0, 0.3, 24)), -1, 1)
         short = np.clip(np.cumsum(rng.normal(0, 0.3, 16)), -1, 1)
-        with make_service(served_model, window_s=t(0.25), max_batch=8) as svc:
+        with make_service(served_model, max_batch=8) as svc:
             plan, _ = svc.registry.plan("demo")
+            hold = gate(svc)
+            svc.submit("demo", long)
+            hold.wait_entered()
             futures = [
                 svc.submit("demo", s) for s in (long, short, long, short, long)
             ]
+            hold.release()
             results = [f.result(timeout=t(10.0)) for f in futures]
             expected = [plan.predict(s) for s in (long, short, long, short, long)]
         assert [int(np.argmax(r["logits"])) for r in results] == expected
         # A shape flip closes the current batch, so nothing coalesces
-        # across the boundary.
-        assert svc.stats.snapshot()["batches"] >= 2
+        # across the boundary: the plug plus five batches of one.
+        assert [r["batch_size"] for r in results] == [1] * 5
+        assert svc.stats.snapshot()["batch_size_histogram"] == {"1": 6}
+
+    def test_batch_threads_never_wait_on_a_timer(
+        self, monkeypatch, served_model, series
+    ):
+        """Natural batching: the batch and fleet threads block only on
+        an empty queue, never on a timed ``Queue.get``."""
+        timed = []
+        inner = queue.Queue.get
+
+        def recording(q, block=True, timeout=None):
+            if threading.current_thread().name.startswith("serve-"):
+                if block and timeout is not None:
+                    timed.append(timeout)
+            return inner(q, block, timeout)
+
+        monkeypatch.setattr(queue.Queue, "get", recording)
+        with make_service(served_model, workers=0) as svc:
+            futures = [svc.submit("demo", series) for _ in range(4)]
+            for f in futures:
+                f.result(timeout=10.0)
+            sid = svc.predict_stream("demo", series[:4])["session"]
+            svc.predict_stream("demo", series[4:], session_id=sid)
+        assert timed == []
+
+    def test_failing_plan_fails_its_batch_only(
+        self, monkeypatch, served_model, series, t
+    ):
+        """A plan that raises fails its own batch; the thread goes on
+        and the next request succeeds."""
+        with make_service(served_model) as svc:
+            plan, _ = svc.registry.plan("demo")
+            calls = []
+
+            def flaky(self, x):
+                calls.append(x.shape[0])
+                if len(calls) == 1:
+                    raise RuntimeError("injected plan failure")
+                return self.forward(x)
+
+            monkeypatch.setattr(type(plan), "__call__", flaky)
+            with pytest.raises(RuntimeError, match="injected plan failure"):
+                svc.predict("demo", series, timeout=t(10.0))
+            result = svc.predict("demo", series, timeout=t(10.0))
+            oracle = plan.forward(plan.coerce_series(series)[None])[0]
+        assert np.array_equal(np.asarray(result["logits"]), oracle)
+        assert calls == [1, 1]
+        assert svc.stats.snapshot()["by_status"] == {"error": 1, "ok": 1}
+
+    def test_fault_outside_the_plan_keeps_the_thread(self, served_model, series, t):
+        """A fault after the plan ran (here: recording stats) reaches the
+        batch's waiter instead of killing the batch thread."""
+        with make_service(served_model) as svc:
+            inner = svc.stats.record_batch
+            faults = []
+
+            def failing_once(*args):
+                if not faults:
+                    faults.append(1)
+                    raise RuntimeError("injected stats failure")
+                return inner(*args)
+
+            svc.stats.record_batch = failing_once
+            with pytest.raises(RuntimeError, match="injected stats failure"):
+                svc.predict("demo", series, timeout=t(10.0))
+            result = svc.predict("demo", series, timeout=t(10.0))
+        assert result["batch_size"] == 1
+        assert svc.stats.snapshot()["batches"] == 1
 
 
 class TestBackpressure:
@@ -172,8 +294,6 @@ class TestValidationAndLifecycle:
         svc.close()  # idempotent
 
     def test_bad_options_rejected(self):
-        with pytest.raises(ValueError):
-            ServeOptions(window_s=-1)
         with pytest.raises(ValueError):
             ServeOptions(max_batch=0)
         with pytest.raises(ValueError):
@@ -222,7 +342,7 @@ class TestPredictMC:
 class TestTelemetry:
     def test_serve_events_stream_into_the_run(self, served_model, series, tmp_path, t):
         with Run(dir=tmp_path / "run"):
-            with make_service(served_model, window_s=t(0.05)) as svc:
+            with make_service(served_model) as svc:
                 svc.predict("demo", series)
                 svc.predict_mc("demo", series, draws=4)
                 svc.emit_stats()
@@ -243,6 +363,13 @@ class TestTelemetry:
         batch = next(e for e in events if e["kind"] == "serve.batch")
         assert batch["model"] == "demo"
         assert batch["size"] == 1
+        request = next(e for e in events if e["kind"] == "serve.request")
+        assert request["exec_ms"] == pytest.approx(batch["exec_ms"])
+        assert request["wait_ms"] == pytest.approx(batch["wait_ms"])
+        assert request["wait_ms"] >= 0
+        assert request["wait_ms"] + request["exec_ms"] <= request["latency_ms"]
+        assert end["wait_ms"]["p50"] == pytest.approx(batch["wait_ms"])
+        assert end["exec_ms"]["p99"] == pytest.approx(batch["exec_ms"])
 
     def test_report_renders_a_serving_section(self, served_model, series, tmp_path):
         from repro.report import render_run
@@ -270,7 +397,8 @@ class TestStatsUnit:
         stats.record_request(0.010, status="ok")
         stats.record_request(0.020, status="ok")
         stats.record_request(0.0, status="queue_full")
-        stats.record_batch(2, queue_depth=3)
+        stats.record_batch(2, queue_depth=3, waits_s=[0.001, 0.003], exec_s=0.002)
+        stats.record_stream_batch(1, steps=4, occupancy=1, waits_s=[0.005], exec_s=0.004)
         stats.record_worker_restart()
         stats.record_plan(hit=False)
         stats.record_plan(hit=True)
@@ -281,5 +409,8 @@ class TestStatsUnit:
         assert snap["latency_ms"]["mean"] == pytest.approx(15.0)
         assert snap["mean_batch_size"] == 2.0
         assert snap["max_queue_depth"] == 3
+        # Each request's parts: its own queue wait, its batch's compute.
+        assert snap["wait_ms"] == pytest.approx({"p50": 3.0, "p99": 5.0})
+        assert snap["exec_ms"] == pytest.approx({"p50": 2.0, "p99": 4.0})
         assert snap["worker_restarts"] == 1
         assert snap["plan_cache"] == {"hits": 1, "misses": 1, "evictions": 0}

@@ -22,7 +22,7 @@ pytestmark = pytest.mark.serve
 
 @pytest.fixture(scope="module")
 def server(served_model):
-    svc = MicroBatchService(ServeOptions(window_s=0.001))
+    svc = MicroBatchService(ServeOptions())
     svc.register("demo", served_model)
     with ServeHTTPServer(svc, port=0).start_background() as srv:
         yield srv
@@ -156,7 +156,7 @@ class TestBackpressureOverHTTP:
     def test_queue_full_maps_to_503_with_retry_after(
         self, monkeypatch, served_model, series
     ):
-        monkeypatch.setattr(MicroBatchService, "_dispatch_loop", lambda self: None)
+        monkeypatch.setattr(MicroBatchService, "_batch_loop", lambda self: None)
         svc = MicroBatchService(ServeOptions(queue_size=1))
         svc.register("demo", served_model)
         try:

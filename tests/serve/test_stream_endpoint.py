@@ -25,7 +25,7 @@ pytestmark = pytest.mark.serve
 
 @pytest.fixture(scope="module")
 def server(served_model):
-    svc = MicroBatchService(ServeOptions(window_s=0.001, max_sessions=4))
+    svc = MicroBatchService(ServeOptions(max_sessions=4))
     svc.register("demo", served_model)
     with ServeHTTPServer(svc, port=0).start_background() as srv:
         yield srv
@@ -136,7 +136,7 @@ class TestStreamEndpoint:
 
 class TestServiceDirect:
     def test_session_mismatched_model_rejected(self, served_model, series):
-        with MicroBatchService(ServeOptions(window_s=0.0)) as svc:
+        with MicroBatchService(ServeOptions()) as svc:
             svc.register("a", served_model)
             svc.register("b", served_model)
             opened = svc.predict_stream("a", series[:4])
@@ -144,13 +144,13 @@ class TestServiceDirect:
                 svc.predict_stream("b", series[:4], session_id=opened["session"])
 
     def test_close_unknown_session_raises(self, served_model):
-        with MicroBatchService(ServeOptions(window_s=0.0)) as svc:
+        with MicroBatchService(ServeOptions()) as svc:
             svc.register("a", served_model)
             with pytest.raises(UnknownSessionError):
                 svc.predict_stream("a", session_id="missing", close=True)
 
     def test_sessions_cleared_on_close(self, served_model, series):
-        svc = MicroBatchService(ServeOptions(window_s=0.0))
+        svc = MicroBatchService(ServeOptions())
         svc.register("a", served_model)
         opened = svc.predict_stream("a", series[:4])
         svc.close()

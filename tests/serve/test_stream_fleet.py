@@ -36,7 +36,7 @@ pytestmark = pytest.mark.serve
 
 
 def make_service(served_model, **overrides):
-    options = ServeOptions(**{"window_s": 0.001, **overrides})
+    options = ServeOptions(**overrides)
     svc = MicroBatchService(options)
     svc.register("demo", served_model)
     return svc
@@ -236,10 +236,13 @@ class TestEvictionRace:
 
 
 class TestFleetCoalescing:
-    def test_concurrent_chunks_step_as_one_batch(self, served_model, series, t):
-        """Two sessions' chunks inside one window share a fleet step,
-        and each still lands exactly on its single-stream oracle."""
-        svc = make_service(served_model, stream_window_s=t(0.25))
+    def test_concurrent_chunks_step_as_one_batch(
+        self, served_model, series, gate, t
+    ):
+        """Two sessions' chunks queued behind a held step share the next
+        fleet step, and each still lands exactly on its single-stream
+        oracle."""
+        svc = make_service(served_model)
         try:
             a = svc.predict_stream("demo", series[:4], timeout=t(10.0))
             b = svc.predict_stream("demo", series[:7], timeout=t(10.0))
@@ -250,6 +253,10 @@ class TestFleetCoalescing:
                     "demo", chunk, session_id=sid, timeout=t(10.0)
                 )
 
+            hold = gate(svc, "_run_stream_batch")
+            plug = threading.Thread(target=feed, args=("plug", None, series[:3]))
+            plug.start()
+            hold.wait_entered()
             threads = [
                 threading.Thread(
                     target=feed, args=("a", a["session"], series[4:10])
@@ -260,8 +267,11 @@ class TestFleetCoalescing:
             ]
             for thread in threads:
                 thread.start()
-            for thread in threads:
+            assert _spin_until(lambda: svc._stream_queue.qsize() == 2, t(5.0))
+            hold.release()
+            for thread in (plug, *threads):
                 thread.join(timeout=t(20.0))
+            assert results["plug"]["batch_rows"] == 1
             assert results["a"]["batch_rows"] == 2
             assert results["b"]["batch_rows"] == 2
             for key, hi in (("a", 10), ("b", 12)):

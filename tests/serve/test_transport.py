@@ -28,7 +28,7 @@ def test_accepted_socket_sets_tcp_nodelay(served_model):
                 self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             )
 
-    svc = MicroBatchService(ServeOptions(window_s=0.001))
+    svc = MicroBatchService(ServeOptions())
     svc.register("demo", served_model)
     try:
         srv = ServeHTTPServer(svc, port=0)

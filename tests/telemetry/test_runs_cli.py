@@ -131,6 +131,30 @@ class TestRenderSweepRun:
         assert "## Sweep" not in render_run(run_dir)
 
 
+class TestRenderServeRun:
+    def test_old_run_with_a_coalesce_window_still_renders(self, tmp_path):
+        """Runs recorded while batching still waited on a timer carry
+        ``window_s`` in ``serve.start``; the header ignores it."""
+        with Run(root=tmp_path, name="serve-old") as run:
+            run.emit(
+                "serve.start", window_s=0.002, max_batch=32, queue_size=128,
+                workers=0, precision="inherit",
+            )
+            run.emit(
+                "serve.end", requests=3, by_status={"ok": 3}, qps=150.0,
+                latency_ms={"p50": 2.5, "p99": 3.0, "mean": 2.6},
+                batches=2, mean_batch_size=1.5, max_queue_depth=1,
+            )
+            out = run.dir
+        text = render_run(out)
+        assert (
+            "* micro-batching: max batch 32, queue 128, workers 0, "
+            "precision inherit" in text
+        )
+        assert "window" not in text
+        assert "* requests: 3 (3 ok) at 150.0 qps" in text
+
+
 class TestRunsCli:
     def test_list(self, run_dir, capsys):
         assert main(["runs", "list", "--root", str(run_dir.parent)]) == 0

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..spice import Circuit, Step, transient
 from .pdk import DEFAULT_PDK, PrintedPDK
@@ -101,6 +100,8 @@ def fit_mu(
     approaches ``1 + (R₁ + R₂)/R_load``, consistent with the coupling
     definition κ = 1 + R/R_load of each stage.
     """
+    from scipy.optimize import minimize
+
     circuit = build_so_filter_circuit(r1, c1, r2, c2, r_load)
     result = transient(circuit, dt=dt, steps=steps, probes=["out"])
     simulated = result["out"]

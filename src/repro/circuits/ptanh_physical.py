@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from ..spice.nonlinear import EGTParameters, NonlinearCircuit, dc_transfer_sweep
 from .ptanh import PrintedTanh
@@ -101,6 +100,8 @@ def derive_eta(
     the RMS error, which quantifies how "tanh-like" the chosen
     component values are.
     """
+    from scipy.optimize import curve_fit
+
     circuit = build_ptanh_circuit(r1, r2, t1, t2)
     v_in = np.linspace(v_min, v_max, points)
     v_out = dc_transfer_sweep(circuit, "vin", "out", v_in)

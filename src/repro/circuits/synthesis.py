@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..spice.nonlinear import EGTParameters
 from .ptanh_physical import PhysicalTanhFit, build_ptanh_circuit
@@ -87,6 +86,8 @@ def synthesize_ptanh(
     Returns the best realisation found; ``rms_error`` quantifies how
     well the two-stage EGT topology can express the request.
     """
+    from scipy.optimize import minimize
+
     target_eta = np.asarray(target_eta, dtype=np.float64)
     if target_eta.shape != (4,):
         raise ValueError("target_eta must be [eta1, eta2, eta3, eta4]")

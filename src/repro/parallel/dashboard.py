@@ -125,7 +125,8 @@ class SweepDashboard:
             self._slot_by_pid[int(slot.pid)] = int(slot_id)
 
     def _on_sweep_pool_end(self, event: Dict) -> None:
-        for slot_key, seconds in (event.get("occupancy") or {}).items():
+        busy_s = event.get("busy_s", event.get("occupancy")) or {}
+        for slot_key, seconds in busy_s.items():
             slot_id = int(str(slot_key).replace("slot", "") or 0)
             if slot_id in self._slots:
                 self._slots[slot_id].busy_s = float(seconds)

@@ -496,7 +496,7 @@ def run_pool(
             n_workers=n_workers,
             restarts=restarts,
             steals=steals,
-            occupancy={
+            busy_s={
                 f"slot{worker.slot}": round(worker.busy_s, 6) for worker in workers
             },
             cells_per_slot={

@@ -531,9 +531,9 @@ def _sweep_section(events: List[Dict]) -> List[str]:
         (e for e in reversed(events) if e["kind"] == "sweep.pool.end"), None
     )
     if pool_end:
-        occupancy = pool_end.get("occupancy") or {}
+        busy_s = pool_end.get("busy_s", pool_end.get("occupancy")) or {}
         busy = ", ".join(
-            f"{slot} {seconds:.1f}s" for slot, seconds in sorted(occupancy.items())
+            f"{slot} {seconds:.1f}s" for slot, seconds in sorted(busy_s.items())
         )
         lines.append(
             f"* pool: {pool_end.get('n_workers', '?')} workers, "

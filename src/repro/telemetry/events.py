@@ -62,8 +62,8 @@ Well-known kinds
     Emitted by the persistent-pool executor around a campaign:
     ``n_workers``, worker ``pids``, per-worker ``shard_sizes`` and the
     ``restart_budget``; the end event adds totals (``restarts``,
-    ``steals``) plus per-slot ``occupancy`` (busy seconds) and
-    ``cells_per_slot`` — the dashboard's occupancy column.
+    ``steals``) plus per-slot ``busy_s`` (busy seconds, the dashboard's
+    busy column; ``occupancy`` in older runs) and ``cells_per_slot``.
 ``sweep.pool.steal``
     An idle worker stole a cell from another worker's shard:
     ``thief_slot``, ``victim_slot``, ``cell``.
@@ -90,8 +90,8 @@ Well-known kinds
     One per executed fleet step batch — concurrent ``/predict_stream``
     chunks coalesced into one batched advance: ``model``, ``rows``
     (streams stepped per kernel call), ``steps`` (longest chunk in the
-    batch), fleet ``occupancy``/``capacity``, ``wait_ms`` (coalesce
-    window time of the oldest chunk) and ``exec_ms``.
+    batch), fleet ``occupancy``/``capacity``, ``wait_ms`` (the oldest
+    chunk's queue wait, from submit to batch start) and ``exec_ms``.
 ``stream.batch.evict``
     A session's fleet row was detached by LRU pressure: ``model``,
     ``session``, ``row``, ``reason`` (``lru``).  The next chunk for

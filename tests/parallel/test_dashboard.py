@@ -9,6 +9,8 @@ finished run's ``events.jsonl``).
 import io
 import json
 
+import pytest
+
 from repro import telemetry
 from repro.parallel import SweepCell, SweepOptions, run_cells
 from repro.parallel.dashboard import SweepDashboard, _drain, watch
@@ -93,6 +95,18 @@ def test_pool_slots_track_pids_and_replacements():
     frame = dash.render(now_wall=1006.0)
     assert "w1*" in frame  # replacement marker
     assert "steals 1" in frame and "replaced 1" in frame
+
+
+@pytest.mark.parametrize("field", ["busy_s", "occupancy"])
+def test_pool_end_sets_slot_busy_seconds(field):
+    """``busy_s`` (``occupancy`` in runs recorded before the rename)
+    overwrites the folded per-slot busy time with the pool's own."""
+    dash = SweepDashboard()
+    dash.observe(_start())
+    dash.observe({"kind": "sweep.pool.start", "pids": [100, 200]})
+    dash.observe({"kind": "sweep.pool.end", field: {"slot0": 1.5, "slot1": 2.25}})
+    frame = dash.render()
+    assert "     1.50" in frame and "     2.25" in frame
 
 
 def test_spawn_per_cell_pids_become_slots():

@@ -154,6 +154,8 @@ def test_pool_lifecycle_events(tmp_path):
     assert len(starts[0]["pids"]) == 2
     assert ends[0]["restarts"] == 0
     assert sum(ends[0]["cells_per_slot"].values()) == 5
+    assert set(ends[0]["busy_s"]) == {"slot0", "slot1"}
+    assert all(seconds >= 0.0 for seconds in ends[0]["busy_s"].values())
     start = next(e for e in events if e["kind"] == "sweep.start")
     assert start["executor"] == "pool" and start["max_workers"] == 2
 

@@ -130,6 +130,24 @@ class TestRenderSweepRun:
     def test_no_sweep_section_without_sweep_events(self, run_dir):
         assert "## Sweep" not in render_run(run_dir)
 
+    @pytest.mark.parametrize("field", ["busy_s", "occupancy"])
+    def test_pool_busy_seconds_render(self, tmp_path, field):
+        """``sweep.pool.end`` carries per-slot busy seconds as ``busy_s``;
+        runs recorded before the rename call the same field ``occupancy``."""
+        with Run(root=tmp_path, name="pool-demo") as run:
+            run.emit("sweep.start", executor="pool", n_cells=2, max_workers=2)
+            run.emit(
+                "sweep.pool.end", n_workers=2, restarts=0, steals=1,
+                **{field: {"slot0": 1.14, "slot1": 2.5}},
+                cells_per_slot={"slot0": 1, "slot1": 1},
+            )
+            out = run.dir
+        text = render_run(out)
+        assert (
+            "* pool: 2 workers, 1 steals, 0 replaced; "
+            "busy: slot0 1.1s, slot1 2.5s" in text
+        )
+
 
 class TestRenderServeRun:
     def test_old_run_with_a_coalesce_window_still_renders(self, tmp_path):

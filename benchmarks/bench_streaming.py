@@ -19,8 +19,7 @@ schedules.  The aggregate-speedup
 gate (≥3x at 32 streams) is skipped on single-core runners like the
 other serving benches; every stream's trajectory must be bit-equal to
 its single-stream oracle regardless.  Each ``--multi`` run appends a
-compact entry to ``BENCH_streaming.json`` (same trajectory pattern as
-``BENCH_tape.json``).
+compact entry to the ``BENCH_streaming.json`` trajectory.
 
 Equivalence is enforced, not assumed: every chunked pass must be
 bit-equal to the one-chunk session pass, and the session's final logits
@@ -52,7 +51,7 @@ EQUIVALENCE_ATOL = 1e-12
 MULTI_SPEEDUP_TARGET = 3.0
 
 #: Fleet-speedup trajectory across bench runs — one compact entry
-#: appended per ``--multi`` invocation (same pattern as BENCH_tape.json).
+#: appended per ``--multi`` invocation.
 TRAJECTORY = pathlib.Path(__file__).resolve().parent.parent / "BENCH_streaming.json"
 
 

@@ -31,18 +31,6 @@ from .precision import (
     set_precision,
     use_precision,
 )
-from .tape import (
-    CompiledTape,
-    TapeCache,
-    TapeCapture,
-    TapeCounters,
-    TapeError,
-    active_capture,
-    dynamic,
-    mark_dynamic,
-    tape_counters,
-    tracing,
-)
 from .tensor import Tensor
 
 __all__ = [
@@ -76,14 +64,4 @@ __all__ = [
     "outer",
     "check_gradients",
     "numerical_gradient",
-    "TapeError",
-    "TapeCapture",
-    "CompiledTape",
-    "TapeCache",
-    "TapeCounters",
-    "tape_counters",
-    "tracing",
-    "active_capture",
-    "mark_dynamic",
-    "dynamic",
 ]

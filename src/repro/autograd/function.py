@@ -56,7 +56,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import tensor as _tensor
 from .tensor import ArrayLike, Tensor, _unbroadcast
 
 __all__ = [
@@ -187,14 +186,7 @@ class Function:
                 else:
                     tensor._accumulate_grad(g)
 
-        attrs = (
-            {"function": cls, "kwargs": dict(kwargs)}
-            if _tensor._tracer is not None
-            else None
-        )
-        return Tensor._from_op(
-            np.asarray(data), tensors, backward_fn, cls.__name__, attrs
-        )
+        return Tensor._from_op(np.asarray(data), tensors, backward_fn, cls.__name__)
 
 
 class FilterScan(Function):

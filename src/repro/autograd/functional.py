@@ -10,7 +10,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import tensor as _tensor
 from .precision import compute_dtype
 from .tensor import ArrayLike, Tensor
 
@@ -43,8 +42,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             if t.requires_grad:
                 t._accumulate_grad(np.squeeze(piece, axis=axis))
 
-    attrs = {"axis": axis} if _tensor._tracer is not None else None
-    return Tensor._from_op(data, tensors, backward_fn, "stack", attrs)
+    return Tensor._from_op(data, tensors, backward_fn, "stack")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -61,8 +59,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 index[axis] = slice(start, stop)
                 t._accumulate_grad(grad[tuple(index)])
 
-    attrs = {"axis": axis} if _tensor._tracer is not None else None
-    return Tensor._from_op(data, tensors, backward_fn, "concat", attrs)
+    return Tensor._from_op(data, tensors, backward_fn, "concat")
 
 
 def where(condition: ArrayLike, a: ArrayLike, b: ArrayLike) -> Tensor:
@@ -97,15 +94,7 @@ def minimum(a: ArrayLike, b: ArrayLike) -> Tensor:
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     """Numerically-stable log-sum-exp along ``axis`` (differentiable)."""
     x = _as_tensor(x)
-    # The max shift is a *detached* function of x: recorded as a
-    # non-differentiable op (``backward_fn=None`` leaves the output a
-    # plain leaf, exactly like the historical ``Tensor(x.data.max(...))``
-    # wrapper) so the tape compiler can re-derive it from the live
-    # buffer on every replay instead of baking in a stale constant.
-    attrs = {"axis": axis} if _tensor._tracer is not None else None
-    shift = Tensor._from_op(
-        np.asarray(x.data.max(axis=axis, keepdims=True)), (x,), None, "detach_max", attrs
-    )
+    shift = Tensor(x.data.max(axis=axis, keepdims=True))
     out = (x - shift).exp().sum(axis=axis, keepdims=True).log() + shift
     if not keepdims:
         out = out.squeeze(axis=axis if axis >= 0 else axis + x.ndim)

@@ -34,25 +34,7 @@ from .precision import compute_dtype
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-__all__ = ["Tensor", "ArrayLike", "set_tracer", "get_tracer"]
-
-#: Optional op-trace hook installed by the tape compiler
-#: (:mod:`repro.autograd.tape`).  When set, every ``_from_op`` call
-#: invokes ``_tracer(out, parents, op, attrs)`` — including inside
-#: ``no_grad`` regions, so forward-only (validation) graphs can be
-#: captured too.  ``None`` keeps the hot path to a single global read.
-_tracer = None
-
-
-def set_tracer(tracer) -> None:
-    """Install (or clear, with ``None``) the global op-trace hook."""
-    global _tracer
-    _tracer = tracer
-
-
-def get_tracer():
-    """Return the currently installed op-trace hook (or ``None``)."""
-    return _tracer
+__all__ = ["Tensor", "ArrayLike"]
 
 
 def _as_array(data: ArrayLike) -> np.ndarray:
@@ -155,25 +137,12 @@ class Tensor:
         cls,
         data: np.ndarray,
         parents: Iterable["Tensor"],
-        backward_fn: Optional[Callable[[np.ndarray], None]],
+        backward_fn: Callable[[np.ndarray], None],
         op: str,
-        attrs: Optional[dict] = None,
     ) -> "Tensor":
-        """Build the result tensor of an op, wiring the graph if needed.
-
-        ``backward_fn=None`` marks a deliberately non-differentiable op
-        (e.g. the detached max shift of ``logsumexp``): the output never
-        requires grad, exactly like wrapping the result in a fresh leaf.
-        ``attrs`` carries the op's non-tensor arguments for the tape
-        compiler's replay kernels; it is ignored unless a tracer is
-        installed.
-        """
+        """Build the result tensor of an op, wiring the graph if needed."""
         parents = tuple(parents)
-        requires = (
-            backward_fn is not None
-            and is_grad_enabled()
-            and any(p.requires_grad for p in parents)
-        )
+        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = cls(data)
         out.requires_grad = requires
         if requires:
@@ -183,8 +152,6 @@ class Tensor:
             out._parents = tuple(p for p in parents if p.requires_grad)
             out._backward_fn = backward_fn
             out._op = op
-        if _tracer is not None:
-            _tracer(out, parents, op, attrs)
         return out
 
     # ------------------------------------------------------------------
@@ -379,8 +346,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate_grad(grad * exponent * self.data ** (exponent - 1.0))
 
-        attrs = {"exponent": exponent} if _tracer is not None else None
-        return Tensor._from_op(data, (self,), backward_fn, "pow", attrs)
+        return Tensor._from_op(data, (self,), backward_fn, "pow")
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
@@ -496,13 +462,11 @@ class Tensor:
         data = np.clip(self.data, low, high)
         mask = (self.data >= low) & (self.data <= high)
 
-        attrs = {"low": low, "high": high} if _tracer is not None else None
-
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate_grad(grad * mask)
 
-        return Tensor._from_op(data, (self,), backward_fn, "clip", attrs)
+        return Tensor._from_op(data, (self,), backward_fn, "clip")
 
     # ------------------------------------------------------------------
     # Reductions
@@ -520,8 +484,7 @@ class Tensor:
                 g = np.expand_dims(g, axis=axis)
             self._accumulate_grad(np.broadcast_to(g, self.shape).astype(self.data.dtype))
 
-        attrs = {"axis": axis, "keepdims": keepdims} if _tracer is not None else None
-        return Tensor._from_op(np.asarray(data), (self,), backward_fn, "sum", attrs)
+        return Tensor._from_op(np.asarray(data), (self,), backward_fn, "sum")
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
         """Arithmetic mean over the given axis (or everything)."""
@@ -544,8 +507,7 @@ class Tensor:
             g = np.asarray(g, dtype=self.data.dtype)
             self._accumulate_grad(np.broadcast_to(g, self.shape))
 
-        attrs = {"axis": axis, "keepdims": keepdims} if _tracer is not None else None
-        return Tensor._from_op(np.asarray(data), (self,), backward_fn, "mean", attrs)
+        return Tensor._from_op(np.asarray(data), (self,), backward_fn, "mean")
 
     def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         """Maximum over an axis; ties split the gradient equally."""
@@ -563,8 +525,7 @@ class Tensor:
             mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             self._accumulate_grad(mask * g)
 
-        attrs = {"axis": axis, "keepdims": keepdims} if _tracer is not None else None
-        return Tensor._from_op(np.asarray(data), (self,), backward_fn, "max", attrs)
+        return Tensor._from_op(np.asarray(data), (self,), backward_fn, "max")
 
     def min(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         """Minimum over an axis; ties split the gradient equally."""
@@ -601,8 +562,7 @@ class Tensor:
                 else:
                     self._accumulate_grad(g)
 
-        attrs = {"shape": tuple(shape)} if _tracer is not None else None
-        return Tensor._from_op(data, (self,), backward_fn, "reshape", attrs)
+        return Tensor._from_op(data, (self,), backward_fn, "reshape")
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         """Interchange two axes (differentiable).
@@ -618,8 +578,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate_grad(np.swapaxes(grad, axis1, axis2))
 
-        attrs = {"axis1": axis1, "axis2": axis2} if _tracer is not None else None
-        return Tensor._from_op(data, (self,), backward_fn, "swapaxes", attrs)
+        return Tensor._from_op(data, (self,), backward_fn, "swapaxes")
 
     def transpose(self, *axes: int) -> "Tensor":
         """Permute axes (all reversed when no axes given)."""
@@ -637,8 +596,7 @@ class Tensor:
                 inverse = np.argsort(ax)
                 self._accumulate_grad(grad.transpose(inverse))
 
-        attrs = {"axes": ax} if _tracer is not None else None
-        return Tensor._from_op(data, (self,), backward_fn, "transpose", attrs)
+        return Tensor._from_op(data, (self,), backward_fn, "transpose")
 
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
@@ -657,8 +615,7 @@ class Tensor:
                     np.add.at(full, index, grad)
                 self._accumulate_grad(full)
 
-        attrs = {"index": index, "basic": basic} if _tracer is not None else None
-        return Tensor._from_op(np.asarray(data), (self,), backward_fn, "getitem", attrs)
+        return Tensor._from_op(np.asarray(data), (self,), backward_fn, "getitem")
 
     def squeeze(self, axis: Optional[int] = None) -> "Tensor":
         """Remove size-1 axes."""

@@ -24,7 +24,6 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..autograd.function import Function, FunctionContext, sum_rows
-from ..autograd.tape import dynamic
 from ..nn.module import Module, Parameter
 from .pdk import DEFAULT_PDK, PrintedPDK
 from .variation import VariationSampler, check_draws_input, ideal_sampler
@@ -131,11 +130,7 @@ class PrintedCrossbar(Module):
         at the printable maximum.
         """
         mag = self.theta.abs()
-        # Dynamic tape leaf: the mask tracks the live θ, so replays
-        # recompute it instead of baking in a stale constant.
-        mask = dynamic(
-            lambda: (np.abs(self.theta.data) >= THETA_MIN).astype(self.theta.data.dtype)
-        )
+        mask = (np.abs(self.theta.data) >= THETA_MIN).astype(self.theta.data.dtype)
         g = mag.clip(0.0, THETA_MAX) * mask
         g_b = self.theta_b.abs().clip(0.0, THETA_MAX)
         g_d = self.theta_d.abs().clip(THETA_MIN, THETA_MAX)
@@ -176,20 +171,13 @@ class PrintedCrossbar(Module):
         # Positive crossings pass the rail directly (gain +1); negative
         # ones pass the inverted rail, whose gain -ε_inv carries the
         # inverter's own process variation.
-        # Sign masks are θ-dependent dynamic tape leaves (recomputed per
-        # replay), coerced to the compute dtype up front so the wrapped
-        # array is the marked object under every precision policy.
-        dt = self.theta.data.dtype
-        direct = Tensor(
-            dynamic(lambda: np.where(np.sign(self.theta.data) >= 0, 1.0, 0.0).astype(dt))
-        )
-        inverted = Tensor(
-            dynamic(lambda: np.where(np.sign(self.theta.data) >= 0, 0.0, -1.0).astype(dt))
-        )
+        positive = np.sign(self.theta.data) >= 0
+        direct = Tensor(np.where(positive, 1.0, 0.0))
+        inverted = Tensor(np.where(positive, 0.0, -1.0))
         path = direct + inv_gain * inverted
 
         weights = path * g_eps / denom.unsqueeze(-1)  # (..., out, in)
-        bias_sign = Tensor(dynamic(lambda: np.sign(self.theta_b.data)))
+        bias_sign = Tensor(np.sign(self.theta_b.data))
         bias = bias_sign * gb_eps / denom * self.pdk.supply_voltage  # (..., out)
         return _CrossbarAffine.apply(x, weights, bias)
 

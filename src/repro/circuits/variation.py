@@ -43,7 +43,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..autograd.precision import compute_dtype
-from ..autograd.tape import mark_dynamic
 from ..telemetry import record_span
 
 __all__ = [
@@ -182,22 +181,6 @@ class VariationSampler:
     # -- batched Monte-Carlo draws ------------------------------------------
 
     @property
-    def is_deterministic(self) -> bool:
-        """True when every draw method returns a value independent of
-        the generator state (the ideal sampler: ε ≡ 1, μ fixed, V₀ ≡ 0).
-
-        Used by the tape compiler: deterministic draws are recorded as
-        static constants instead of per-replay providers, skipping the
-        redundant re-draws.  Values are unaffected — only the (unused)
-        generator consumption differs from the interpreted path.
-        """
-        return (
-            isinstance(self.model, NoVariation)
-            and self.mu_low == self.mu_high
-            and self.v0_max == 0
-        )
-
-    @property
     def draws(self) -> Optional[int]:
         """Active batched draw count, or ``None`` in sequential mode."""
         return None if self._draw_streams is None else len(self._draw_streams)
@@ -252,13 +235,7 @@ class VariationSampler:
             out = self.model.sample(shape, self.rng)
         out = np.asarray(out, dtype=compute_dtype())
         record_span("sampler.draw", time.perf_counter() - start)
-        if self.is_deterministic:
-            # Value is ε ≡ 1 regardless of generator state: a static
-            # tape constant, no per-replay re-draw needed.
-            return out
-        # Dynamic tape leaf: replays re-draw with the same shape, so the
-        # recorded RNG-consumption order is reproduced bit-for-bit.
-        return mark_dynamic(out, lambda: self.epsilon(shape))
+        return out
 
     def mu(self, shape: Sequence[int]) -> np.ndarray:
         """Draw coupling factors μ ∈ [mu_low, mu_high] (batched-aware)."""
@@ -269,10 +246,7 @@ class VariationSampler:
             )
         else:
             out = self.rng.uniform(self.mu_low, self.mu_high, size=shape)
-        out = np.asarray(out, dtype=compute_dtype())
-        if self.is_deterministic:
-            return out
-        return mark_dynamic(out, lambda: self.mu(shape))
+        return np.asarray(out, dtype=compute_dtype())
 
     def initial_voltage(self, shape: Sequence[int]) -> np.ndarray:
         """Draw filter initial voltages V₀ ∈ [0, v0_max] (batched-aware)."""
@@ -287,8 +261,7 @@ class VariationSampler:
             )
         else:
             out = self.rng.uniform(0.0, self.v0_max, size=shape)
-        out = np.asarray(out, dtype=compute_dtype())
-        return mark_dynamic(out, lambda: self.initial_voltage(shape))
+        return np.asarray(out, dtype=compute_dtype())
 
     def reseed(self, seed: int) -> None:
         """Reset the internal generator (per-experiment reproducibility)."""

@@ -22,10 +22,6 @@ Subcommands
   float32, mixed) through the fused SO-LF kernel and end-to-end
   training, and verify the float64 path is bit-equal across reruns
   while the reduced-precision policies stay within tolerance;
-* ``tape-bench`` — measure the tape graph backend (trace-once/replay
-  over arena buffers) against the interpreted oracle through an
-  end-to-end ``Trainer.fit`` run, and verify the float64
-  variation-aware trajectory is bit-equal between backends;
 * ``report`` — render a saved ``results.json`` as markdown;
 * ``runs`` — inspect telemetry run directories written by
   :class:`repro.telemetry.Run` (``list`` / ``show`` / ``tail``);
@@ -51,11 +47,7 @@ from typing import List, Optional
 __all__ = ["build_parser", "main"]
 
 
-def _config(
-    scale: str,
-    precision: Optional[str] = None,
-    graph_backend: Optional[str] = None,
-):
+def _config(scale: str, precision: Optional[str] = None):
     from dataclasses import replace
 
     from .core import ExperimentConfig
@@ -67,10 +59,6 @@ def _config(
     }[scale]()
     if precision is not None:
         config = replace(config, training=replace(config.training, precision=precision))
-    if graph_backend is not None:
-        config = replace(
-            config, training=replace(config.training, graph_backend=graph_backend)
-        )
     return config
 
 
@@ -89,9 +77,7 @@ def _cmd_artifact(args: argparse.Namespace) -> int:
     from .hw import format_hardware_table
     from .utils import render_table
 
-    config = _config(
-        args.scale, precision=args.precision, graph_backend=args.graph_backend
-    )
+    config = _config(args.scale, precision=args.precision)
     name = args.command
     if name == "table1":
         print(format_table1(run_table1(config, verbose=args.verbose)))
@@ -281,28 +267,6 @@ def _cmd_dtype_bench(args: argparse.Namespace) -> int:
     return 0 if record["equivalent"] else 1
 
 
-def _cmd_tape_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .core import format_tape_benchmark, run_tape_benchmark
-
-    record = run_tape_benchmark(
-        batch=args.batch,
-        seq_len=args.seq_len,
-        epochs=args.epochs,
-        repeats=args.repeats,
-        seed=args.seed,
-        precision=args.precision,
-        oracle_epochs=args.oracle_epochs,
-    )
-    print(format_tape_benchmark(record))
-    if args.output is not None:
-        with open(args.output, "w") as fh:
-            json.dump(record, fh, indent=2)
-        print(f"wrote {args.output}")
-    return 0 if record["tape_compiler"]["equivalent"] else 1
-
-
 def _resolve_watch_run(run_root: str, run: str) -> Optional[str]:
     """Resolve ``--watch [RUN]`` to an ``events.jsonl`` path.
 
@@ -348,9 +312,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         return 1 if dashboard.failed else 0
 
-    config = _config(
-        args.config, precision=args.precision, graph_backend=args.graph_backend
-    )
+    config = _config(args.config, precision=args.precision)
     options = SweepOptions(
         executor=args.executor,
         max_workers=args.max_workers,
@@ -603,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     from .autograd.precision import PRECISION_POLICIES
-    from .core import GRAPH_BACKENDS
     from .data.streams import STREAM_SCENARIOS
     from .parallel.orchestrator import EXECUTORS
     from .parallel.store import EXAMPLE_QUERIES, STORE_BACKENDS
@@ -616,12 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=PRECISION_POLICIES,
             default=None,
             help="training precision policy (default: the config preset's)",
-        )
-        p.add_argument(
-            "--graph-backend",
-            choices=GRAPH_BACKENDS,
-            default=None,
-            help="autograd graph backend (default: the config preset's)",
         )
         p.add_argument("--verbose", action="store_true")
         p.add_argument("--samples", type=int, default=10, help="mu-study sample count")
@@ -720,30 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dtype_bench)
 
     p = sub.add_parser(
-        "tape-bench",
-        help="benchmark the tape graph backend against the interpreted oracle",
-    )
-    p.add_argument("--batch", type=int, default=16, help="dataset size")
-    p.add_argument("--seq-len", type=int, default=8, help="sequence length T")
-    p.add_argument("--epochs", type=int, default=150, help="timed training epochs")
-    p.add_argument("--repeats", type=int, default=5, help="timed fits per backend")
-    p.add_argument(
-        "--precision",
-        choices=PRECISION_POLICIES,
-        default="float32",
-        help="precision policy of the timed (throughput) fits",
-    )
-    p.add_argument(
-        "--oracle-epochs",
-        type=int,
-        default=10,
-        help="epochs of the float64 bit-equality check",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None, help="write the record as JSON here")
-    p.set_defaults(func=_cmd_tape_bench)
-
-    p = sub.add_parser(
         "sweep", help="run a sharded (or serial-oracle) experiment sweep"
     )
     p.add_argument(
@@ -763,12 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=PRECISION_POLICIES,
         default=None,
         help="training precision policy (default: the config preset's)",
-    )
-    p.add_argument(
-        "--graph-backend",
-        choices=GRAPH_BACKENDS,
-        default=None,
-        help="autograd graph backend (default: the config preset's)",
     )
     p.add_argument(
         "--executor",

@@ -44,7 +44,6 @@ from .scanbench import (
     run_scan_benchmark,
 )
 from .search import ArchitectureResult, architecture_space, search_architecture
-from .tapebench import format_tape_benchmark, run_tape_benchmark
 from .streaming import (
     MultiStreamSession,
     StreamingClassifier,
@@ -55,7 +54,6 @@ from .streaming import (
 from .tpb import PrintedTemporalProcessingBlock
 from .training import (
     CHECKPOINT_FILENAME,
-    GRAPH_BACKENDS,
     MC_BACKENDS,
     SCAN_BACKENDS,
     Trainer,
@@ -105,7 +103,6 @@ __all__ = [
     "CalibrationResult",
     "MC_BACKENDS",
     "SCAN_BACKENDS",
-    "GRAPH_BACKENDS",
     "CHECKPOINT_FILENAME",
     "mc_cross_entropy",
     "run_mc_benchmark",
@@ -119,6 +116,4 @@ __all__ = [
     "format_dtype_benchmark",
     "DTYPE_LOSS_RTOL",
     "DTYPE_ACCURACY_TOL_PP",
-    "run_tape_benchmark",
-    "format_tape_benchmark",
 ]

@@ -33,14 +33,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..autograd import no_grad
-from ..autograd.precision import compute_dtype, get_precision, use_precision
-from ..autograd.tape import (
-    CompiledTape,
-    TapeCapture,
-    TapeError,
-    tape_counters,
-    tracing,
-)
+from ..autograd.precision import get_precision, use_precision
 from ..circuits import (
     NoVariation,
     UniformVariation,
@@ -59,14 +52,6 @@ __all__ = [
     "select_top_k",
     "EvaluationResult",
 ]
-
-
-def _check_graph_backend(graph_backend: Optional[str]) -> None:
-    """Reject unknown ``graph_backend`` names (``None`` keeps default)."""
-    if graph_backend is not None and graph_backend not in ("interpreted", "tape"):
-        raise ValueError(
-            f"graph_backend must be None, 'interpreted' or 'tape', got {graph_backend!r}"
-        )
 
 
 def accuracy(model: Module, x: np.ndarray, y: np.ndarray) -> float:
@@ -150,60 +135,6 @@ def _deterministic_result(model: Module, x: np.ndarray, y: np.ndarray) -> Evalua
     return EvaluationResult(mean=acc, std=0.0, samples=np.array([acc]))
 
 
-def _tape_accuracy_loop(
-    model: Module,
-    x: np.ndarray,
-    y: np.ndarray,
-    sampler: VariationSampler,
-    streams: List[np.random.Generator],
-) -> np.ndarray:
-    """Sequential per-draw accuracies via the tape compiler.
-
-    Draw 0 runs interpreted under a :class:`TapeCapture`; the compiled
-    tape then replays the forward once per remaining child stream (the
-    recorded variation providers re-draw from whichever stream is
-    installed, so the samples are bit-equal to the interpreted loop).
-    Any compile or replay failure falls back to interpreted forwards
-    for the remaining draws.
-    """
-    xa = np.asarray(x, dtype=compute_dtype())
-    ya = np.asarray(y)
-    parent = sampler.rng
-    accs: List[float] = []
-    compiled: Optional[CompiledTape] = None
-    try:
-        sampler.rng = streams[0]
-        capture = TapeCapture()
-        capture.tag_input("x", xa)
-        with no_grad(), tracing(capture):
-            logits = model(xa)
-        accs.append(float((np.argmax(logits.data, axis=1) == ya).mean()))
-        try:
-            compiled = CompiledTape(capture, logits)
-        except TapeError:
-            tape_counters.record_cache("fallback")
-        else:
-            tape_counters.record_cache("miss")
-        for stream in streams[1:]:
-            sampler.rng = stream
-            out: Optional[np.ndarray] = None
-            if compiled is not None:
-                try:
-                    out = compiled.replay_forward({"x": xa})
-                except TapeError:
-                    tape_counters.record_cache("fallback")
-                    compiled = None
-                else:
-                    tape_counters.record_cache("hit")
-            if out is None:
-                with no_grad():
-                    out = model(xa).data
-            accs.append(float((np.argmax(out, axis=1) == ya).mean()))
-    finally:
-        sampler.rng = parent
-    return np.array(accs)
-
-
 def _mc_accuracy_samples(
     model: Module,
     x: np.ndarray,
@@ -211,16 +142,12 @@ def _mc_accuracy_samples(
     sampler: VariationSampler,
     mc_samples: int,
     vectorized: bool,
-    graph_backend: Optional[str] = None,
 ) -> np.ndarray:
     """Per-draw accuracies under ``sampler`` (batched or sequential).
 
     Both paths consume the same per-draw child random streams, so the
     returned samples are identical; the batched path simply evaluates
-    them in one ``(draws, batch, ...)`` forward.  ``graph_backend="tape"``
-    accelerates the *sequential* loop by replaying a compiled trace per
-    draw; the vectorized path already amortises graph overhead across
-    draws and ignores the flag.
+    them in one ``(draws, batch, ...)`` forward.
     """
     if vectorized:
         with Stopwatch() as sw, telemetry.span("evaluation"):
@@ -233,14 +160,6 @@ def _mc_accuracy_samples(
         pred = np.argmax(logits.data, axis=-1)  # (draws, batch)
         return (pred == np.asarray(y)).mean(axis=1)
     streams = sampler.spawn_streams(mc_samples)
-    if graph_backend == "tape":
-        with Stopwatch() as sw, telemetry.span("evaluation"):
-            samples = _tape_accuracy_loop(model, x, y, sampler, streams)
-        mc_counters.record_forward(sw.elapsed, mc_samples, backend="sequential")
-        mc_counters.record_precision(
-            str(get_precision().compute), sw.elapsed, mc_samples
-        )
-        return samples
     parent = sampler.rng
     accs: List[float] = []
     with Stopwatch() as sw, telemetry.span("evaluation"):
@@ -289,15 +208,12 @@ def _evaluate_with_sampler(
     sampler: VariationSampler,
     mc_samples: int,
     vectorized: bool,
-    graph_backend: Optional[str] = None,
 ) -> EvaluationResult:
     """Install ``sampler``, collect MC accuracy samples, restore."""
     original = model.sampler
     try:
         model.set_sampler(sampler)
-        samples = _mc_accuracy_samples(
-            model, x, y, sampler, mc_samples, vectorized, graph_backend
-        )
+        samples = _mc_accuracy_samples(model, x, y, sampler, mc_samples, vectorized)
     finally:
         model.set_sampler(original)
     return EvaluationResult(
@@ -315,7 +231,6 @@ def evaluate_under_variation(
     vectorized: bool = True,
     scan_backend: Optional[str] = None,
     precision: Optional[str] = None,
-    graph_backend: Optional[str] = None,
 ) -> EvaluationResult:
     """Mean accuracy over ``mc_samples`` fabricated-instance draws.
 
@@ -333,12 +248,7 @@ def evaluate_under_variation(
     temporarily evaluates under a precision policy (casting parameters
     to its compute dtype and restoring the original arrays afterwards);
     ``None`` keeps the active policy and parameter dtypes.
-    ``graph_backend="tape"`` replays a compiled trace per draw on the
-    sequential (``vectorized=False``) path, falling back to interpreted
-    forwards whenever the trace cannot be compiled; ``None`` and
-    ``"interpreted"`` keep the plain per-draw loop.
     """
-    _check_graph_backend(graph_backend)
     if not hasattr(model, "set_sampler"):
         acc = accuracy(model, x, y)
         return EvaluationResult(mean=acc, std=0.0, samples=np.array([acc]))
@@ -356,9 +266,7 @@ def evaluate_under_variation(
             sampler = VariationSampler(
                 model=UniformVariation(delta), rng=np.random.default_rng(seed)
             )
-            result = _evaluate_with_sampler(
-                model, x, y, sampler, mc_samples, vectorized, graph_backend
-            )
+            result = _evaluate_with_sampler(model, x, y, sampler, mc_samples, vectorized)
             draws = mc_samples
     return _emit_evaluation(
         model,
@@ -380,7 +288,6 @@ def evaluate_under_model(
     vectorized: bool = True,
     scan_backend: Optional[str] = None,
     precision: Optional[str] = None,
-    graph_backend: Optional[str] = None,
 ) -> EvaluationResult:
     """Mean accuracy under an arbitrary variation distribution.
 
@@ -389,12 +296,10 @@ def evaluate_under_model(
     device-level model of Rasheed et al. [24] — so robustness can be
     compared across printing-process assumptions.  ``mc_samples=0`` or
     a :class:`~repro.circuits.NoVariation` model short-circuit to the
-    deterministic nominal evaluation.  ``scan_backend``, ``precision``
-    and ``graph_backend`` temporarily select the filter-recurrence
-    backend, the precision policy and the autograd graph backend, as in
-    :func:`evaluate_under_variation`.
+    deterministic nominal evaluation.  ``scan_backend`` and
+    ``precision`` temporarily select the filter-recurrence backend and
+    the precision policy, as in :func:`evaluate_under_variation`.
     """
-    _check_graph_backend(graph_backend)
     if not hasattr(model, "set_sampler"):
         acc = accuracy(model, x, y)
         return EvaluationResult(mean=acc, std=0.0, samples=np.array([acc]))
@@ -408,9 +313,7 @@ def evaluate_under_model(
             draws = 0
         else:
             sampler = VariationSampler(model=variation, rng=np.random.default_rng(seed))
-            result = _evaluate_with_sampler(
-                model, x, y, sampler, mc_samples, vectorized, graph_backend
-            )
+            result = _evaluate_with_sampler(model, x, y, sampler, mc_samples, vectorized)
             draws = mc_samples
     return _emit_evaluation(
         model,

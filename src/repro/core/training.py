@@ -61,22 +61,12 @@ import numpy as np
 
 from .. import telemetry
 from ..augment import AugmentationConfig, augment_dataset
-from ..autograd import Tensor, is_grad_enabled, no_grad
+from ..autograd import Tensor, no_grad
 from ..autograd.precision import (
     PRECISION_POLICIES,
-    compute_dtype,
     get_precision,
     resolve_policy,
     use_precision,
-)
-from ..autograd.tape import (
-    CompiledTape,
-    TapeCache,
-    TapeCapture,
-    TapeError,
-    active_capture,
-    tape_counters,
-    tracing,
 )
 from ..circuits import SCAN_BACKENDS, UniformVariation, VariationSampler, ideal_sampler
 from ..nn import cross_entropy
@@ -91,18 +81,11 @@ __all__ = [
     "Trainer",
     "MC_BACKENDS",
     "SCAN_BACKENDS",
-    "GRAPH_BACKENDS",
     "CHECKPOINT_FILENAME",
 ]
 
 #: Valid Monte-Carlo objective backends.
 MC_BACKENDS = ("batched", "sequential")
-
-#: Valid autograd graph backends: "interpreted" rebuilds the Python
-#: graph every step (the bit-equal oracle); "tape" captures the op
-#: stream once per objective signature and replays it as a flat
-#: compiled loop (see :mod:`repro.autograd.tape`).
-GRAPH_BACKENDS = ("interpreted", "tape")
 
 #: File name of the (single, overwritten) trainer checkpoint.
 CHECKPOINT_FILENAME = "checkpoint.npz"
@@ -143,12 +126,6 @@ class TrainingConfig:
     #: precision; "mixed" runs float32 compute against float64 master
     #: weights/moments inside AdamW (AMP-style).
     precision: str = "float64"
-    #: Autograd graph backend: "interpreted" (default) rebuilds the
-    #: closure graph every step and is the bit-equal oracle; "tape"
-    #: traces the objective once per signature and replays it over
-    #: preallocated buffers, falling back to interpreted whenever a
-    #: trace cannot be compiled or self-checked bit-exactly.
-    graph_backend: str = "interpreted"
 
     def __post_init__(self) -> None:
         """Validate hyper-parameter ranges and backend names."""
@@ -166,8 +143,6 @@ class TrainingConfig:
             raise ValueError(f"scan_backend must be one of {SCAN_BACKENDS}")
         if self.precision not in PRECISION_POLICIES:
             raise ValueError(f"precision must be one of {PRECISION_POLICIES}")
-        if self.graph_backend not in GRAPH_BACKENDS:
-            raise ValueError(f"graph_backend must be one of {GRAPH_BACKENDS}")
 
     @staticmethod
     def paper() -> "TrainingConfig":
@@ -337,14 +312,6 @@ class Trainer:
         #: Per-draw losses of the most recent MC objective evaluation
         #: (populated only while a telemetry run is active).
         self._last_draw_losses: Optional[np.ndarray] = None
-        #: Compiled tapes keyed by objective signature (graph_backend
-        #: "tape" only; empty and unused under "interpreted").
-        self._tape_cache = TapeCache()
-        #: Parameter list walked once: the signature only needs each
-        #: parameter's (mutable) ``requires_grad`` flag per evaluation.
-        self._sig_params = [p for _, p in model.named_parameters()]
-        #: Label-hash memo for :meth:`_tape_signature` (id -> (ref, hash)).
-        self._y_hash_memo: Dict[int, Tuple[np.ndarray, int]] = {}
 
         self._is_printed = hasattr(model, "set_sampler")
         if hasattr(model, "set_scan_backend"):
@@ -372,18 +339,6 @@ class Trainer:
     def _loss(self, x: np.ndarray, y: np.ndarray) -> Tensor:
         """Monte-Carlo objective (Eq. 13): average loss over fresh draws.
 
-        Dispatches on ``config.graph_backend``: "interpreted" rebuilds
-        the autograd graph (the bit-equal oracle), "tape" replays a
-        compiled trace when one matches the objective signature and
-        falls back to interpreted otherwise.
-        """
-        if self.config.graph_backend == "tape":
-            return self._tape_loss(x, y)
-        return self._interpreted_loss(x, y)
-
-    def _interpreted_loss(self, x: np.ndarray, y: np.ndarray) -> Tensor:
-        """Interpreted-graph Monte-Carlo objective (the reference path).
-
         Dispatches to the vectorized batched backend (default) or the
         sequential reference oracle, both consuming identical per-draw
         random streams; records wall-clock and draw counts in
@@ -409,11 +364,6 @@ class Trainer:
             with Stopwatch() as sw, telemetry.span("forward"):
                 with sampler.batched(draws):
                     logits = self.model(x)  # (draws, batch, classes)
-                cap = active_capture()
-                if cap is not None:
-                    # Tagged so tape replays can read back the logits
-                    # for the per-draw telemetry distribution.
-                    cap.tag_value("logits", logits)
                 loss = mc_cross_entropy(logits, y)
             mc_counters.record_forward(sw.elapsed, draws, backend="batched")
             mc_counters.record_precision(dtype_key, sw.elapsed, draws)
@@ -443,240 +393,6 @@ class Trainer:
             self._last_draw_losses = np.asarray(per_draw)
         assert total is not None
         return total / float(draws)
-
-    # -- tape backend -----------------------------------------------------
-
-    def _tape_signature(
-        self, xa: np.ndarray, y: np.ndarray, variant: str, draws: int
-    ) -> tuple:
-        """Cache key covering everything a compiled tape bakes in.
-
-        Inputs are rebound on every replay, so only their shape/dtype
-        matter; labels are baked into the traced ``getitem`` indices,
-        so their *content* is hashed.  Precision, scan backend, grad
-        mode and the parameter ``requires_grad`` mask all change the
-        recorded op stream, so any flip forces a clean retrace.
-
-        The label hash is memoised per array object (the epoch loop
-        hands the same ``y_train``/``y_val`` arrays to every step);
-        holding a reference in the memo pins the ``id`` so it can never
-        be recycled by a different array.
-        """
-        yb = np.asarray(y)
-        memo = self._y_hash_memo.get(id(yb))
-        if memo is not None and memo[0] is yb:
-            y_hash = memo[1]
-        else:
-            y_hash = hash((yb.tobytes(), yb.shape, str(yb.dtype)))
-            self._y_hash_memo[id(yb)] = (yb, y_hash)
-        return (
-            variant,
-            draws,
-            xa.shape,
-            str(xa.dtype),
-            y_hash,
-            self.config.precision,
-            self.config.scan_backend,
-            is_grad_enabled(),
-            tuple(p.requires_grad for p in self._sig_params),
-        )
-
-    def _tape_loss(self, x: np.ndarray, y: np.ndarray) -> Tensor:
-        """Objective under ``graph_backend="tape"``.
-
-        First evaluation of a signature runs the interpreted objective
-        under a :class:`~repro.autograd.tape.TapeCapture` and compiles
-        it; later evaluations replay the compiled tape over preallocated
-        buffers.  Any compile or replay failure permanently routes the
-        signature back to the interpreted oracle.
-        """
-        draws = self._mc_samples()
-        variant = (
-            "deterministic"
-            if not (self.variation_aware and self._is_printed)
-            else self.config.mc_backend
-        )
-        xa = np.asarray(x, dtype=compute_dtype())
-        key = self._tape_signature(xa, y, variant, draws)
-        cached = self._tape_cache.lookup(key)
-        if cached == "failed":
-            tape_counters.record_cache("fallback")
-            return self._interpreted_loss(xa, y)
-        if cached is None:
-            tape_counters.record_cache("miss")
-            return self._trace_tape(key, xa, y, variant, draws)
-        tape_counters.record_cache("hit")
-        try:
-            return self._replay_tape(cached, xa, y, variant, draws)
-        except TapeError:
-            self._tape_cache.mark_failed(key)
-            tape_counters.record_cache("fallback")
-            return self._interpreted_loss(xa, y)
-
-    def _trace_tape(
-        self, key: tuple, xa: np.ndarray, y: np.ndarray, variant: str, draws: int
-    ) -> Tensor:
-        """Evaluate interpreted under a capture, compile, and cache.
-
-        Returns the interpreted loss tensor (its closure graph intact,
-        so this step's ``backward()`` runs interpreted); the compiled
-        tape serves every later evaluation of the same signature.
-        """
-        if variant == "sequential":
-            return self._trace_tape_sequential(key, xa, y, draws)
-        capture = TapeCapture()
-        capture.tag_input("x", xa)
-        with tracing(capture):
-            loss = self._interpreted_loss(xa, y)
-        try:
-            compiled = CompiledTape(capture, loss)
-        except TapeError:
-            self._tape_cache.mark_failed(key)
-            tape_counters.record_cache("fallback")
-        else:
-            self._tape_cache.store(key, compiled)
-        return loss
-
-    def _trace_tape_sequential(
-        self, key: tuple, xa: np.ndarray, y: np.ndarray, draws: int
-    ) -> Tensor:
-        """Sequential-backend trace: record draw 0, run the rest plain.
-
-        Every draw consumes its own child stream exactly as the
-        interpreted sequential oracle does; only the first draw's op
-        stream is captured (all draws share one op sequence — just
-        different random values, which replays re-draw per stream).
-        """
-        sampler = self.model.sampler
-        dtype_key = str(get_precision().compute)
-        run = telemetry.active_run()
-        streams = sampler.spawn_streams(draws)
-        parent = sampler.rng
-        capture = TapeCapture()
-        capture.tag_input("x", xa)
-        total: Optional[Tensor] = None
-        first: Optional[Tensor] = None
-        per_draw: List[float] = []
-        with Stopwatch() as sw, telemetry.span("forward"):
-            try:
-                for i, stream in enumerate(streams):
-                    sampler.rng = stream
-                    if i == 0:
-                        with tracing(capture):
-                            loss = cross_entropy(self.model(xa), y)
-                        first = loss
-                    else:
-                        loss = cross_entropy(self.model(xa), y)
-                    if run is not None:
-                        with no_grad():
-                            per_draw.append(float(loss.item()))
-                    total = loss if total is None else total + loss
-            finally:
-                sampler.rng = parent
-        mc_counters.record_forward(sw.elapsed, draws, backend="sequential")
-        mc_counters.record_precision(dtype_key, sw.elapsed, draws)
-        if run is not None:
-            self._last_draw_losses = np.asarray(per_draw)
-        assert total is not None and first is not None
-        try:
-            compiled = CompiledTape(capture, first)
-        except TapeError:
-            self._tape_cache.mark_failed(key)
-            tape_counters.record_cache("fallback")
-        else:
-            self._tape_cache.store(key, compiled)
-        return total / float(draws)
-
-    def _pseudo_loss(self, value: np.ndarray, backward_fn) -> Tensor:
-        """Wrap a replayed loss value as a backward-capable tensor.
-
-        The value is copied out of the tape's arena (the output slot is
-        reused by the next replay); ``backward_fn`` receives the
-        incoming gradient and drives the compiled backward.
-        """
-        out = Tensor(np.asarray(value).copy())
-        if is_grad_enabled() and backward_fn is not None:
-            out.requires_grad = True
-            out._backward_fn = backward_fn
-            out._op = "tape_replay"
-        return out
-
-    def _replay_tape(
-        self,
-        compiled: CompiledTape,
-        xa: np.ndarray,
-        y: np.ndarray,
-        variant: str,
-        draws: int,
-    ) -> Tensor:
-        """Replay a compiled tape, mirroring the interpreted telemetry.
-
-        Deterministic and batched variants replay once (batched inside
-        a fresh ``sampler.batched`` context, so the recorded providers
-        consume the same child streams the interpreted path would);
-        the sequential variant replays per draw and — because each
-        draw's buffers are overwritten by the next — runs its backward
-        eagerly into an accumulator, which the returned tensor's
-        ``backward()`` merely flushes (scaled by the draw average).
-        """
-        dtype_key = str(get_precision().compute)
-        run = telemetry.active_run()
-        self._last_draw_losses = None
-        if variant == "deterministic":
-            with Stopwatch() as sw, telemetry.span("forward"):
-                value = compiled.replay_forward({"x": xa})
-            mc_counters.record_forward(sw.elapsed, 1, backend="deterministic")
-            mc_counters.record_precision(dtype_key, sw.elapsed, 1)
-            return self._pseudo_loss(value, compiled.replay_backward)
-        sampler = self.model.sampler
-        if variant == "batched":
-            with Stopwatch() as sw, telemetry.span("forward"):
-                with sampler.batched(draws):
-                    value = compiled.replay_forward({"x": xa})
-            mc_counters.record_forward(sw.elapsed, draws, backend="batched")
-            mc_counters.record_precision(dtype_key, sw.elapsed, draws)
-            if run is not None:
-                self._last_draw_losses = _per_draw_cross_entropy(
-                    compiled.value("logits"), y
-                )
-            return self._pseudo_loss(value, compiled.replay_backward)
-        # Sequential: one replay per child stream, eager backward.
-        streams = sampler.spawn_streams(draws)
-        parent = sampler.rng
-        values: List[np.ndarray] = []
-        acc: Dict[int, np.ndarray] = {}
-        grad_wanted = is_grad_enabled() and bool(compiled.grad_leaves)
-        divisor = np.asarray(float(draws), dtype=compute_dtype())
-        # Seed each draw's backward with 1/draws — the bits the
-        # interpreted truediv backward threads into every draw subgraph
-        # — instead of seeding with ones and scaling the leaf sums:
-        # scaling after the VJP chain rounds differently and would
-        # break float64 bit-equality for non-power-of-two draw counts.
-        seed = np.ones((), dtype=compute_dtype()) / divisor
-        with Stopwatch() as sw, telemetry.span("forward"):
-            try:
-                for stream in streams:
-                    sampler.rng = stream
-                    v = compiled.replay_forward({"x": xa})
-                    values.append(np.asarray(v).copy())
-                    if grad_wanted:
-                        compiled.replay_backward(seed=seed, into=acc)
-            finally:
-                sampler.rng = parent
-        mc_counters.record_forward(sw.elapsed, draws, backend="sequential")
-        mc_counters.record_precision(dtype_key, sw.elapsed, draws)
-        if run is not None:
-            self._last_draw_losses = np.asarray([float(v) for v in values])
-        total = values[0]
-        for v in values[1:]:
-            total = total + v
-        value = total / divisor
-        backward = (
-            (lambda g: compiled.apply_accumulated(acc, g))
-            if grad_wanted
-            else None
-        )
-        return self._pseudo_loss(value, backward)
 
     def _eval_loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Objective value without building a graph (validation loss)."""
@@ -972,7 +688,6 @@ class Trainer:
                 backends={
                     "mc_backend": self.config.mc_backend,
                     "scan_backend": self.config.scan_backend,
-                    "graph_backend": self.config.graph_backend,
                 },
                 checkpoint=str(ckpt_path) if ckpt_path is not None else None,
             )
@@ -985,7 +700,6 @@ class Trainer:
             variation_aware=self.variation_aware,
             mc_backend=self.config.mc_backend,
             scan_backend=self.config.scan_backend,
-            graph_backend=self.config.graph_backend,
             precision=self.config.precision,
             n_train=int(np.asarray(x_train).shape[0]),
             n_val=int(np.asarray(x_val).shape[0]),

@@ -212,56 +212,6 @@ def _filter_scan_section(record: Dict) -> List[str]:
     return lines
 
 
-def _tape_section(record: Dict) -> List[str]:
-    """Render the tape-compiler record (``tape-bench``)."""
-    tape = record.get("tape_compiler")
-    if not tape:
-        return []
-    lines = [
-        "## Tape compiler — compiled replay vs interpreted oracle",
-        "",
-        f"Workload: {tape.get('model', '?')} at batch={tape.get('batch', '?')}, "
-        f"seq_len={tape.get('seq_len', '?')}, epochs={tape.get('epochs', '?')} "
-        f"(scan={tape.get('scan_backend', '?')}, "
-        f"precision={tape.get('precision', '?')}).",
-        "",
-        "| Graph backend | Epoch wall-clock |",
-        "|---|---|",
-    ]
-    for backend in ("interpreted", "tape"):
-        seconds = tape.get(f"{backend}_epoch_s")
-        if seconds is not None:
-            lines.append(f"| {backend} | {seconds*1e3:.2f} ms |")
-    verdict = "**equivalent**" if tape.get("equivalent") else "**NOT equivalent**"
-    lines += [
-        "",
-        f"Speedup (tape over interpreted): {tape.get('speedup', 0.0):.2f}×.",
-        f"float64 oracle: max |Δloss| = "
-        f"{tape.get('max_abs_loss_delta', float('nan')):.2e} over "
-        f"{tape.get('oracle_epochs', '?')} training epochs (bit-equality "
-        f"required) — {verdict}.",
-    ]
-    counters = tape.get("counters")
-    if counters:
-        lines.append(
-            f"Compiler: {counters.get('traces', 0):.0f} traces "
-            f"({counters.get('traced_ops', 0):.0f} ops, "
-            f"{counters.get('fused_ops', 0):.0f} fused, "
-            f"{counters.get('dead_grad_skips', 0):.0f} dead-grad skips, "
-            f"build {counters.get('build_seconds', 0.0)*1e3:.1f} ms); "
-            f"cache {counters.get('cache_hits', 0):.0f} hits / "
-            f"{counters.get('cache_misses', 0):.0f} misses, "
-            f"{counters.get('fallbacks', 0):.0f} fallbacks."
-        )
-        lines.append(
-            f"Replay: {counters.get('replays', 0):.0f} replays "
-            f"(forward {counters.get('replay_seconds', 0.0):.2f} s, "
-            f"backward {counters.get('replay_backward_seconds', 0.0):.2f} s)."
-        )
-    lines.append("")
-    return lines
-
-
 def _streaming_section(record: Dict) -> List[str]:
     """Render the streaming-evaluation record (``stream-eval``).
 
@@ -362,7 +312,6 @@ def render_report(record: Dict) -> str:
     lines += _table3_section(record)
     lines += _mc_section(record)
     lines += _filter_scan_section(record)
-    lines += _tape_section(record)
     lines += _streaming_section(record)
     lines += _fig_sections(record)
     return "\n".join(lines)
@@ -477,24 +426,6 @@ def _span_section(run_end: Optional[Dict]) -> List[str]:
             f"{mc.get('draws_per_second', 0.0):.1f} draws/s)",
             f"* backwards: {mc.get('backward_calls', 0):.0f} "
             f"({mc.get('backward_seconds', 0.0):.2f} s)",
-            "",
-        ]
-    tape = gauges.get("tape")
-    if tape and tape.get("replays"):
-        lines += [
-            "## Tape",
-            "",
-            f"* traces: {tape.get('traces', 0):.0f} "
-            f"({tape.get('traced_ops', 0):.0f} ops recorded, "
-            f"{tape.get('fused_ops', 0):.0f} fused, "
-            f"{tape.get('dead_grad_skips', 0):.0f} dead-grad skips; "
-            f"build {tape.get('build_seconds', 0.0)*1e3:.1f} ms)",
-            f"* cache: {tape.get('cache_hits', 0):.0f} hits, "
-            f"{tape.get('cache_misses', 0):.0f} misses, "
-            f"{tape.get('fallbacks', 0):.0f} fallbacks to interpreted",
-            f"* replays: {tape.get('replays', 0):.0f} "
-            f"(forward {tape.get('replay_seconds', 0.0):.2f} s, "
-            f"backward {tape.get('replay_backward_seconds', 0.0):.2f} s)",
             "",
         ]
     return lines
@@ -744,8 +675,7 @@ def render_run(run_dir: PathLike) -> str:
         lines.append(
             f"* model: {model} (variation_aware={manifest.get('variation_aware')}, "
             f"mc={backends.get('mc_backend', '?')}, "
-            f"scan={backends.get('scan_backend', '?')}, "
-            f"graph={backends.get('graph_backend', 'interpreted')})"
+            f"scan={backends.get('scan_backend', '?')})"
         )
     if manifest.get("checkpoint"):
         lines.append(f"* checkpoint: `{manifest['checkpoint']}`")

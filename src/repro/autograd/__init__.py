@@ -2,20 +2,17 @@
 
 Public API::
 
-    from repro.autograd import Tensor, no_grad, stack, softmax, ...
+    from repro.autograd import Tensor, no_grad, stack, log_softmax, ...
 """
 
-from .context import enable_grad, is_grad_enabled, no_grad, set_grad_enabled
+from .context import is_grad_enabled, no_grad
 from .function import FilterScan, Function, FunctionContext, filter_scan
 from .functional import (
-    concat,
     log_softmax,
     logsumexp,
     maximum,
     minimum,
-    one_hot,
     outer,
-    softmax,
     stack,
     where,
 )
@@ -26,7 +23,6 @@ from .precision import (
     compute_dtype,
     default_tolerances,
     get_precision,
-    master_dtype,
     resolve_policy,
     set_precision,
     use_precision,
@@ -42,25 +38,19 @@ __all__ = [
     "use_precision",
     "resolve_policy",
     "compute_dtype",
-    "master_dtype",
     "default_tolerances",
     "Function",
     "FunctionContext",
     "FilterScan",
     "filter_scan",
     "no_grad",
-    "enable_grad",
     "is_grad_enabled",
-    "set_grad_enabled",
     "stack",
-    "concat",
     "where",
     "maximum",
     "minimum",
-    "softmax",
     "log_softmax",
     "logsumexp",
-    "one_hot",
     "outer",
     "check_gradients",
     "numerical_gradient",

@@ -19,12 +19,6 @@ def is_grad_enabled() -> bool:
     return _grad_enabled
 
 
-def set_grad_enabled(enabled: bool) -> None:
-    """Globally enable or disable gradient recording."""
-    global _grad_enabled
-    _grad_enabled = bool(enabled)
-
-
 @contextlib.contextmanager
 def no_grad() -> Iterator[None]:
     """Context manager that disables graph recording.
@@ -41,18 +35,6 @@ def no_grad() -> Iterator[None]:
     global _grad_enabled
     previous = _grad_enabled
     _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
-
-
-@contextlib.contextmanager
-def enable_grad() -> Iterator[None]:
-    """Context manager that re-enables graph recording inside ``no_grad``."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = True
     try:
         yield
     finally:

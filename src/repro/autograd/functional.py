@@ -1,28 +1,24 @@
 """Free functions over :class:`~repro.autograd.tensor.Tensor`.
 
-Multi-input graph builders (``stack``, ``concat``, ``where``) and the
-numerically-stable softmax family used by the classification losses.
+Multi-input graph builders (``stack``, ``where``) and the
+numerically-stable log-softmax family used by the classification loss.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .precision import compute_dtype
 from .tensor import ArrayLike, Tensor
 
 __all__ = [
     "stack",
-    "concat",
     "where",
     "maximum",
     "minimum",
-    "softmax",
     "log_softmax",
     "logsumexp",
-    "one_hot",
     "outer",
 ]
 
@@ -43,23 +39,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate_grad(np.squeeze(piece, axis=axis))
 
     return Tensor._from_op(data, tensors, backward_fn, "stack")
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis (differentiable)."""
-    tensors = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * grad.ndim
-                index[axis] = slice(start, stop)
-                t._accumulate_grad(grad[tuple(index)])
-
-    return Tensor._from_op(data, tensors, backward_fn, "concat")
 
 
 def where(condition: ArrayLike, a: ArrayLike, b: ArrayLike) -> Tensor:
@@ -105,23 +84,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Log of the softmax along ``axis``, computed stably."""
     x = _as_tensor(x)
     return x - logsumexp(x, axis=axis, keepdims=True)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, computed stably."""
-    return log_softmax(x, axis=axis).exp()
-
-
-def one_hot(labels: Union[np.ndarray, Sequence[int]], num_classes: int) -> np.ndarray:
-    """One-hot encode integer labels into a ``(n, num_classes)`` array."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.min(initial=0) < 0 or (labels.size and labels.max() >= num_classes):
-        raise ValueError("label outside [0, num_classes)")
-    out = np.zeros((labels.shape[0], num_classes), dtype=compute_dtype())
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:

@@ -57,7 +57,6 @@ __all__ = [
     "use_precision",
     "resolve_policy",
     "compute_dtype",
-    "master_dtype",
     "default_tolerances",
 ]
 
@@ -132,11 +131,6 @@ def use_precision(policy: "str | PrecisionPolicy") -> Iterator[PrecisionPolicy]:
 def compute_dtype() -> np.dtype:
     """The dtype new tensors/buffers should allocate in."""
     return _active.compute
-
-
-def master_dtype() -> np.dtype:
-    """The dtype master weights / optimizer moments should live in."""
-    return _active.master
 
 
 #: Per-dtype default tolerances: (fd eps, atol, rtol) for gradient

@@ -1,7 +1,7 @@
 """Printed neuromorphic circuit primitives (crossbar, ptanh, filters, PDK)."""
 
 from .coupling import CouplingFit, build_so_filter_circuit, extract_mu_range, fit_mu
-from .crossbar import THETA_MAX, THETA_MIN, PrintedCrossbar, program_crossbar
+from .crossbar import THETA_MAX, THETA_MIN, PrintedCrossbar
 from .filters import (
     DEFAULT_DT,
     SCAN_BACKENDS,
@@ -20,7 +20,6 @@ from .ptanh_physical import (
     make_printed_tanh,
 )
 from .variation import (
-    GaussianVariation,
     GMMVariation,
     NoVariation,
     UniformVariation,
@@ -31,7 +30,6 @@ from .variation import (
 
 __all__ = [
     "PrintedCrossbar",
-    "program_crossbar",
     "THETA_MIN",
     "THETA_MAX",
     "PrintedTanh",
@@ -46,7 +44,6 @@ __all__ = [
     "VariationModel",
     "NoVariation",
     "UniformVariation",
-    "GaussianVariation",
     "GMMVariation",
     "VariationSampler",
     "ideal_sampler",

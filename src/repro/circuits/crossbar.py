@@ -28,7 +28,7 @@ from ..nn.module import Module, Parameter
 from .pdk import DEFAULT_PDK, PrintedPDK
 from .variation import VariationSampler, check_draws_input, ideal_sampler
 
-__all__ = ["PrintedCrossbar", "program_crossbar", "THETA_MIN", "THETA_MAX"]
+__all__ = ["PrintedCrossbar", "THETA_MIN", "THETA_MAX"]
 
 #: Surrogate-conductance range in normalised units.  Conductances below
 #: THETA_MIN are not printable and the crossing is left open (pruned).
@@ -228,78 +228,3 @@ class PrintedCrossbar(Module):
             f"PrintedCrossbar(in={self.in_features}, out={self.out_features}, "
             f"pdk={self.pdk.name!r})"
         )
-
-
-def program_crossbar(
-    crossbar: PrintedCrossbar,
-    weights: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-    headroom: float = 0.9,
-) -> None:
-    """Program a crossbar to realise given signed weights and biases.
-
-    Inverts Eq. (1): for each output row, conductances are chosen so
-    that ``g_i / G = |w_i|`` and ``g_b / G = |b|``, with the dummy
-    conductance absorbing the slack ``1 − Σ|w| − |b|``.  This imports a
-    software-trained affine layer into the printed substrate (weights
-    are then refined by variation-aware training, or used as-is).
-
-    Parameters
-    ----------
-    crossbar:
-        Layer to program in place.
-    weights:
-        Signed weight matrix ``(out_features, in_features)``; every row
-        must satisfy ``Σ|w| + |b| < 1`` (the conductance-divider
-        constraint of the printed crossbar).
-    bias:
-        Signed biases ``(out_features,)``; zero when omitted.
-    headroom:
-        Fraction of the printable conductance ceiling used by the
-        largest conductance of each row.
-
-    Raises
-    ------
-    ValueError
-        If a row violates the divider constraint, or a non-zero weight
-        is too small to print relative to the row's largest (it would
-        fall below the printable minimum and be pruned).
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (crossbar.out_features, crossbar.in_features):
-        raise ValueError(
-            f"weights must be {(crossbar.out_features, crossbar.in_features)}, "
-            f"got {weights.shape}"
-        )
-    bias = (
-        np.zeros(crossbar.out_features)
-        if bias is None
-        else np.asarray(bias, dtype=np.float64)
-    )
-    if bias.shape != (crossbar.out_features,):
-        raise ValueError("bias must have one entry per output")
-    if not 0 < headroom <= 1:
-        raise ValueError("headroom must be in (0, 1]")
-
-    for o in range(crossbar.out_features):
-        row = np.abs(weights[o])
-        total = row.sum() + abs(bias[o])
-        if total >= 1.0:
-            raise ValueError(
-                f"row {o}: sum of |weights| + |bias| = {total:.3f} must be < 1 "
-                "(conductance-ratio constraint of Eq. 1)"
-            )
-        slack = 1.0 - total  # dummy conductance share
-        shares = np.concatenate([row, [abs(bias[o]), slack]])
-        largest = shares.max()
-        scale = THETA_MAX * headroom / largest
-        g = shares * scale
-        nonzero = shares[:-1] > 0
-        if np.any(g[:-1][nonzero] < THETA_MIN):
-            raise ValueError(
-                f"row {o}: weight dynamic range exceeds the printable window "
-                f"[{THETA_MIN}, {THETA_MAX}] — smallest share would be pruned"
-            )
-        crossbar.theta.data[o] = np.sign(weights[o]) * g[: crossbar.in_features]
-        crossbar.theta_b.data[o] = np.sign(bias[o]) * g[crossbar.in_features] if bias[o] else 0.0
-        crossbar.theta_d.data[o] = max(g[-1], THETA_MIN)

@@ -16,13 +16,12 @@ calibrated to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
 from ..nn.module import Module
 from .crossbar import PrintedCrossbar
-from .filters import FirstOrderLearnableFilter, SecondOrderLearnableFilter, _RCStage
+from .filters import _RCStage
 
 __all__ = ["QuantizationReport", "snap_to_grid", "quantize_model"]
 

@@ -14,12 +14,12 @@ characterise-then-fit loop a designer would run in SPICE, automated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..spice.nonlinear import EGTParameters
-from .ptanh_physical import PhysicalTanhFit, build_ptanh_circuit
+from .ptanh_physical import build_ptanh_circuit
 
 __all__ = ["SynthesisResult", "synthesize_ptanh"]
 

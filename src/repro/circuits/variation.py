@@ -49,7 +49,6 @@ __all__ = [
     "VariationModel",
     "NoVariation",
     "UniformVariation",
-    "GaussianVariation",
     "GMMVariation",
     "VariationSampler",
 ]
@@ -93,24 +92,6 @@ class UniformVariation(VariationModel):
 
     def spread(self) -> float:
         return self.delta
-
-
-@dataclass(frozen=True)
-class GaussianVariation(VariationModel):
-    """ε ~ N(1, σ²), truncated to stay positive."""
-
-    sigma: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-
-    def sample(self, shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        eps = rng.normal(1.0, self.sigma, size=shape)
-        return np.clip(eps, 1e-3, None)
-
-    def spread(self) -> float:
-        return self.sigma
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..augment import AugmentationConfig, default_config, perturb
-from ..data import DATASET_INFO, dataset_names, load_dataset
+from ..data import DATASET_INFO, load_dataset
 from ..utils.timing import time_callable
 from .. import telemetry
 from .evaluation import accuracy, evaluate_under_variation, select_top_k

@@ -24,7 +24,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

@@ -8,7 +8,7 @@ from .datasets import (
     load_dataset,
 )
 from .generators import GENERATORS, generate
-from .io import load_series_csv, load_splits, save_series_csv, save_splits
+from .io import load_series_csv
 from .preprocessing import (
     TARGET_LENGTH,
     normalize_series,
@@ -39,10 +39,7 @@ __all__ = [
     "normalize_series",
     "train_val_test_split",
     "TARGET_LENGTH",
-    "save_series_csv",
     "load_series_csv",
-    "save_splits",
-    "load_splits",
     "SensorStream",
     "BURST_KINDS",
     "STREAM_SCENARIOS",

@@ -1,10 +1,9 @@
-"""Dataset import/export.
+"""Dataset import.
 
 The synthetic benchmark suite is deterministic, but users replicating
 the paper against the *real* UCR archive need a way in: this module
-reads/writes the simple ``label, v0, v1, ...`` CSV layout (one series
-per row — the UCR distribution format) and a compact ``.npz`` form for
-preprocessed splits.
+reads the simple ``label, v0, v1, ...`` CSV layout (one series per
+row — the UCR distribution format).
 """
 
 from __future__ import annotations
@@ -14,21 +13,9 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .datasets import DatasetInfo, DatasetSplits
-
-__all__ = ["save_series_csv", "load_series_csv", "save_splits", "load_splits"]
+__all__ = ["load_series_csv"]
 
 PathLike = Union[str, pathlib.Path]
-
-
-def save_series_csv(path: PathLike, x: np.ndarray, y: np.ndarray) -> None:
-    """Write labelled series as ``label, v0, v1, ...`` rows."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise ValueError("need x of shape (n, length) and matching 1-D labels")
-    data = np.column_stack([y.astype(np.float64), x])
-    np.savetxt(path, data, delimiter=",", fmt="%.9g")
 
 
 def load_series_csv(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
@@ -40,41 +27,3 @@ def load_series_csv(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
     if not np.allclose(data[:, 0], y):
         raise ValueError("label column must hold integers")
     return data[:, 1:].copy(), y
-
-
-def save_splits(path: PathLike, splits: DatasetSplits) -> None:
-    """Write a preprocessed dataset (all three splits) to ``.npz``."""
-    path = pathlib.Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
-    np.savez(
-        path,
-        name=np.array(splits.info.name),
-        n_classes=np.array(splits.info.n_classes),
-        description=np.array(splits.info.description),
-        x_train=splits.x_train,
-        y_train=splits.y_train,
-        x_val=splits.x_val,
-        y_val=splits.y_val,
-        x_test=splits.x_test,
-        y_test=splits.y_test,
-    )
-
-
-def load_splits(path: PathLike) -> DatasetSplits:
-    """Read a dataset written by :func:`save_splits`."""
-    with np.load(pathlib.Path(path)) as archive:
-        info = DatasetInfo(
-            name=str(archive["name"]),
-            n_classes=int(archive["n_classes"]),
-            description=str(archive["description"]),
-        )
-        return DatasetSplits(
-            info=info,
-            x_train=archive["x_train"].copy(),
-            y_train=archive["y_train"].copy(),
-            x_val=archive["x_val"].copy(),
-            y_val=archive["y_val"].copy(),
-            x_test=archive["x_test"].copy(),
-            y_test=archive["y_test"].copy(),
-        )

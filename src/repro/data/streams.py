@@ -42,7 +42,7 @@ import numpy as np
 
 from .datasets import DATASET_INFO
 from .generators import generate
-from .preprocessing import TARGET_LENGTH, normalize_series, resize_series
+from .preprocessing import normalize_series, resize_series
 
 __all__ = [
     "SensorStream",

@@ -1,10 +1,9 @@
 """Neural-network module system (the ``torch.nn`` substitute)."""
 
 from . import init
-from .activation import Identity, ReLU, Sigmoid, Tanh
-from .containers import ModuleList, Sequential
+from .containers import ModuleList
 from .linear import Linear
-from .loss import CrossEntropyLoss, MSELoss, NLLLoss, cross_entropy, mse_loss
+from .loss import cross_entropy
 from .module import Module, Parameter
 from .rnn import ElmanCell, ElmanRNN
 
@@ -12,18 +11,9 @@ __all__ = [
     "Module",
     "Parameter",
     "Linear",
-    "Sequential",
     "ModuleList",
-    "Tanh",
-    "Sigmoid",
-    "ReLU",
-    "Identity",
     "ElmanCell",
     "ElmanRNN",
-    "CrossEntropyLoss",
-    "NLLLoss",
-    "MSELoss",
     "cross_entropy",
-    "mse_loss",
     "init",
 ]

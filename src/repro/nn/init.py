@@ -1,9 +1,9 @@
 """Parameter initialisation schemes.
 
-Thin numpy implementations of the initialisers PyTorch would supply:
-Xavier/Glorot (used by the Elman reference model) and uniform/normal
-helpers.  Every function takes an explicit ``numpy.random.Generator`` so
-the 10-seed experiment protocol of the paper is exactly reproducible.
+A thin numpy Xavier/Glorot initialiser, the one the reference layers
+(``Linear``, the Elman cells) use.  It takes an explicit
+``numpy.random.Generator`` so the 10-seed experiment protocol of the
+paper is exactly reproducible.
 
 All draws are *generated* in float64 (a fixed generation dtype keeps
 the random streams identical across precision policies) and then cast
@@ -19,13 +19,7 @@ import numpy as np
 
 from ..autograd.precision import compute_dtype
 
-__all__ = [
-    "xavier_uniform",
-    "xavier_normal",
-    "kaiming_uniform",
-    "uniform",
-    "normal",
-]
+__all__ = ["xavier_uniform"]
 
 
 def _fans(shape: Sequence[int]) -> Tuple[int, int]:
@@ -44,27 +38,3 @@ def xavier_uniform(shape: Sequence[int], rng: np.random.Generator, gain: float =
     fan_in, fan_out = _fans(shape)
     a = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=tuple(shape)).astype(compute_dtype(), copy=False)
-
-
-def xavier_normal(shape: Sequence[int], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot normal initialisation: N(0, gain^2 * 2/(fan_in+fan_out))."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=tuple(shape)).astype(compute_dtype(), copy=False)
-
-
-def kaiming_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """He uniform initialisation: U(-a, a), a = sqrt(6/fan_in)."""
-    fan_in, _ = _fans(shape)
-    a = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-a, a, size=tuple(shape)).astype(compute_dtype(), copy=False)
-
-
-def uniform(shape: Sequence[int], rng: np.random.Generator, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-    """Uniform initialisation on ``[low, high)``."""
-    return rng.uniform(low, high, size=tuple(shape)).astype(compute_dtype(), copy=False)
-
-
-def normal(shape: Sequence[int], rng: np.random.Generator, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    """Gaussian initialisation."""
-    return rng.normal(mean, std, size=tuple(shape)).astype(compute_dtype(), copy=False)

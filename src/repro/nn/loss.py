@@ -1,4 +1,4 @@
-"""Loss functions for classifier training."""
+"""The classification loss of classifier training."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from ..autograd import Tensor, log_softmax
-from .module import Module
 
-__all__ = ["CrossEntropyLoss", "MSELoss", "NLLLoss", "cross_entropy", "mse_loss"]
+__all__ = ["cross_entropy"]
 
 Labels = Union[np.ndarray, Sequence[int]]
 
@@ -32,34 +31,3 @@ def cross_entropy(logits: Tensor, labels: Labels) -> Tensor:
     logp = log_softmax(logits, axis=-1)
     picked = logp[np.arange(labels.shape[0]), labels]
     return -picked.mean()
-
-
-def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
-    """Mean squared error."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target_t
-    return (diff * diff).mean()
-
-
-class CrossEntropyLoss(Module):
-    """Module wrapper over :func:`cross_entropy` (expects raw logits)."""
-
-    def forward(self, logits: Tensor, labels: Labels) -> Tensor:
-        return cross_entropy(logits, labels)
-
-
-class NLLLoss(Module):
-    """Negative log-likelihood over *log-probabilities*."""
-
-    def forward(self, log_probs: Tensor, labels: Labels) -> Tensor:
-        labels = np.asarray(labels, dtype=np.int64)
-        _check_logits_labels(log_probs, labels)
-        picked = log_probs[np.arange(labels.shape[0]), labels]
-        return -picked.mean()
-
-
-class MSELoss(Module):
-    """Module wrapper over :func:`mse_loss`."""
-
-    def forward(self, prediction: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
-        return mse_loss(prediction, target)

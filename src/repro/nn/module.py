@@ -8,7 +8,7 @@ checkpointing (used by the trainer's top-3 model selection).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 

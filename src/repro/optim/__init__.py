@@ -1,17 +1,12 @@
 """Optimisers and schedules (the ``torch.optim`` substitute)."""
 
 from .adam import Adam, AdamW
-from .early_stopping import EarlyStopping
-from .lr_scheduler import ReduceLROnPlateau, StepLR
+from .lr_scheduler import ReduceLROnPlateau
 from .optimizer import Optimizer
-from .sgd import SGD
 
 __all__ = [
     "Optimizer",
-    "SGD",
     "Adam",
     "AdamW",
     "ReduceLROnPlateau",
-    "StepLR",
-    "EarlyStopping",
 ]

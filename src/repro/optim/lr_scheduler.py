@@ -1,4 +1,4 @@
-"""Learning-rate schedules.
+"""The paper's learning-rate schedule.
 
 The paper's protocol (Sec. IV-A3): initial LR 0.1, halved after every
 100 epochs without validation-loss improvement, training terminated once
@@ -12,7 +12,7 @@ import math
 
 from .optimizer import Optimizer
 
-__all__ = ["ReduceLROnPlateau", "StepLR"]
+__all__ = ["ReduceLROnPlateau"]
 
 
 class ReduceLROnPlateau:
@@ -75,21 +75,3 @@ class ReduceLROnPlateau:
         """Restore a :meth:`state_dict` snapshot (bit-exact)."""
         self.best = float(state["best"])
         self.num_bad_epochs = int(state["num_bad_epochs"])
-
-
-class StepLR:
-    """Decay the LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        """Advance one epoch, decaying at each boundary."""
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma

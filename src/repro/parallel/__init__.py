@@ -34,7 +34,6 @@ from .orchestrator import (
     SweepCell,
     SweepOptions,
     run_cells,
-    summarize_outcomes,
 )
 from .pool import POOL_GAUGE, PoolBrokenError
 from .store import (
@@ -66,7 +65,6 @@ __all__ = [
     "reset_inherited_telemetry",
     "run_cells",
     "run_query",
-    "summarize_outcomes",
     "sweep_fingerprint",
     "watch",
 ]

@@ -71,7 +71,6 @@ __all__ = [
     "SweepCell",
     "CellOutcome",
     "run_cells",
-    "summarize_outcomes",
 ]
 
 #: Valid sweep executors ("serial" is the bit-equal oracle).
@@ -94,8 +93,9 @@ class SweepOptions:
     timeout_s:
         Per-attempt wall-clock budget of one cell; a worker exceeding
         it is terminated and the attempt counts as failed.  ``None``
-        disables the limit.  Enforced by the parallel executor only —
-        the serial oracle cannot preempt its own process.
+        disables the limit.  Enforced by the parallel and pool
+        executors (the pool replaces the timed-out worker); the serial
+        oracle cannot preempt its own process.
     retries:
         Extra attempts after the first failure (crash, exception or
         timeout); ``retries=2`` means up to 3 attempts total.
@@ -610,20 +610,3 @@ def _run_parallel(
             _terminate(task)
         live.clear()
     return outcomes
-
-
-def summarize_outcomes(outcomes: Dict[Tuple[str, ...], CellOutcome]) -> Dict:
-    """Aggregate counts + failure list for reports and CLI summaries."""
-    failures = [
-        {"cell": "/".join(o.key), "error": o.error, "attempts": o.attempts}
-        for o in outcomes.values()
-        if not o.ok
-    ]
-    return {
-        "n_cells": len(outcomes),
-        "n_ok": sum(1 for o in outcomes.values() if o.ok),
-        "n_failed": len(failures),
-        "n_cached": sum(1 for o in outcomes.values() if o.cached),
-        "attempts": sum(o.attempts for o in outcomes.values()),
-        "failures": failures,
-    }

@@ -294,13 +294,15 @@ def run_pool(
             restarts=restarts,
         )
 
-    def finish(worker: _PoolWorker, outcome: CellOutcome) -> None:
+    def finish(outcome: CellOutcome) -> None:
         outcomes[outcome.key] = outcome
         persist(outcome)
         events.cell_end(outcome)
 
-    def fail_or_retry(worker: _PoolWorker, cell, attempt: int, error: str,
+    def fail_or_retry(pid: Optional[int], cell, attempt: int, error: str,
                       tb: Optional[str] = None) -> None:
+        """Retry a failed attempt, or record it against ``pid``, the
+        process that ran it (already replaced after a death/timeout)."""
         nonlocal seq
         if attempt <= options.retries:
             backoff = options.backoff_s * attempt
@@ -309,7 +311,6 @@ def run_pool(
             retries.append((time.perf_counter() + backoff, seq, cell, attempt + 1))
         else:
             finish(
-                worker,
                 CellOutcome(
                     key=cell.key,
                     status="failed",
@@ -317,7 +318,7 @@ def run_pool(
                     traceback=tb,
                     attempts=attempt,
                     elapsed_s=time.perf_counter() - first_start[cell.key],
-                    worker_pid=worker.pid,
+                    worker_pid=pid,
                 ),
             )
 
@@ -438,7 +439,7 @@ def run_pool(
                             worker, f"worker {dead_pid} died mid-cell ({cell.label})"
                         )
                         fail_or_retry(
-                            worker, cell, attempt,
+                            dead_pid, cell, attempt,
                             f"worker died without result (pid {dead_pid})",
                         )
                         break
@@ -456,7 +457,6 @@ def run_pool(
                     settle(worker)
                     if kind == "result":
                         finish(
-                            worker,
                             CellOutcome(
                                 key=cell.key,
                                 status="ok",
@@ -469,7 +469,7 @@ def run_pool(
                         )
                     else:  # "error"
                         fail_or_retry(
-                            worker, cell, attempt,
+                            worker.pid, cell, attempt,
                             payload["error"], payload.get("traceback"),
                         )
                     break
@@ -482,11 +482,12 @@ def run_pool(
                     continue
                 cell, attempt, _, deadline = worker.task
                 if deadline is not None and now >= deadline:
+                    timed_out_pid = worker.pid
                     settle(worker)
                     events.timeout(cell, attempt)
                     replace(worker, f"cell {cell.label} exceeded timeout")
                     fail_or_retry(
-                        worker, cell, attempt,
+                        timed_out_pid, cell, attempt,
                         f"cell exceeded timeout of {options.timeout_s:.3g}s "
                         f"(attempt {attempt})",
                     )

@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import sys
 import traceback
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..telemetry.gauges import Gauge
 

@@ -6,14 +6,9 @@ used SPICE for: validating printed RC filter behaviour, extracting
 cutoff frequencies, and bounding the coupling factor μ.
 """
 
-from .ac import ACResult, ac_sweep, cutoff_frequency, step_response
+from .ac import ACResult, ac_sweep, cutoff_frequency
 from .components import VCVS, Capacitor, CurrentSource, Resistor, VoltageSource
-from .currents import (
-    measure_static_power,
-    resistor_currents,
-    resistor_power,
-    source_currents,
-)
+from .currents import resistor_currents, resistor_power
 from .fileio import circuit_to_spice, format_value, parse_value, spice_to_circuit
 from .mna import MNAAssembler, dc_operating_point
 from .netlist import GROUND, Circuit
@@ -28,7 +23,7 @@ from .nonlinear import (
 )
 from .nonlinear_transient import transient_nonlinear
 from .transient import TransientResult, transient
-from .waveforms import DC, PiecewiseLinear, Pulse, Sine, Step, Waveform
+from .waveforms import DC, PiecewiseLinear, Sine, Step, Waveform
 
 __all__ = [
     "Circuit",
@@ -45,12 +40,10 @@ __all__ = [
     "ac_sweep",
     "ACResult",
     "cutoff_frequency",
-    "step_response",
     "Waveform",
     "DC",
     "Step",
     "Sine",
-    "Pulse",
     "PiecewiseLinear",
     "EGT",
     "EGTParameters",
@@ -66,6 +59,4 @@ __all__ = [
     "parse_value",
     "resistor_currents",
     "resistor_power",
-    "source_currents",
-    "measure_static_power",
 ]

@@ -13,10 +13,8 @@ import numpy as np
 
 from .mna import MNAAssembler
 from .netlist import Circuit, canonical_node
-from .transient import transient
-from .waveforms import Step
 
-__all__ = ["ACResult", "ac_sweep", "cutoff_frequency", "step_response"]
+__all__ = ["ACResult", "ac_sweep", "cutoff_frequency"]
 
 
 @dataclass
@@ -98,30 +96,3 @@ def cutoff_frequency(result: ACResult, reference: Optional[float] = None) -> flo
     # Interpolate in log-frequency for a smooth estimate.
     w = (m0 - threshold) / (m0 - m1)
     return float(np.exp(np.log(f0) + w * (np.log(f1) - np.log(f0))))
-
-
-def step_response(
-    circuit: Circuit,
-    source_name: str,
-    output_node: str,
-    dt: float,
-    steps: int,
-) -> np.ndarray:
-    """Unit-step response of ``output_node`` (the time-domain characterisation).
-
-    Temporarily rebinds the named source's waveform to a unit step.
-    """
-    source = None
-    for v in circuit.voltage_sources:
-        if v.name == source_name:
-            source = v
-            break
-    if source is None:
-        raise KeyError(f"no voltage source named {source_name}")
-    original = source.waveform
-    source.waveform = Step(low=0.0, high=1.0, t0=0.0)
-    try:
-        result = transient(circuit, dt=dt, steps=steps, probes=[output_node])
-    finally:
-        source.waveform = original
-    return result[output_node]

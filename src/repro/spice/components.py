@@ -9,7 +9,7 @@ and of the high-impedance ptanh input stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .waveforms import DC, Waveform

@@ -2,9 +2,9 @@
 
 The hardware power model (:mod:`repro.hw.power`) estimates static
 dissipation from component values; this module *measures* it from a
-solved operating point — ``P = Σ I²R`` over the resistors plus source
-output power — giving an independent cross-check of the estimate and a
-way to analyse currents in bespoke netlists.
+solved operating point — ``P = Σ I²R`` over the resistors — giving an
+independent cross-check of the estimate and a way to analyse currents
+in bespoke netlists.
 """
 
 from __future__ import annotations
@@ -16,20 +16,15 @@ import numpy as np
 from .mna import MNAAssembler
 from .netlist import GROUND, Circuit
 
-__all__ = ["resistor_currents", "resistor_power", "source_currents", "measure_static_power"]
-
-
-def _solve(circuit: Circuit, t: float) -> tuple:
-    assembler = MNAAssembler(circuit)
-    a, z = assembler.assemble(t=t, capacitor_mode="open")
-    x = assembler.solve(a, z)
-    voltages = assembler.voltages_from_solution(x)
-    return assembler, x, {k: float(np.real(v)) for k, v in voltages.items()}
+__all__ = ["resistor_currents", "resistor_power"]
 
 
 def resistor_currents(circuit: Circuit, t: float = 0.0) -> Dict[str, float]:
     """DC current through every resistor (positive from ``pos`` to ``neg``)."""
-    _, _, voltages = _solve(circuit, t)
+    assembler = MNAAssembler(circuit)
+    a, z = assembler.assemble(t=t, capacitor_mode="open")
+    solution = assembler.voltages_from_solution(assembler.solve(a, z))
+    voltages = {k: float(np.real(v)) for k, v in solution.items()}
     currents = {}
     for r in circuit.resistors:
         vp = 0.0 if r.node_pos == GROUND else voltages[r.node_pos]
@@ -44,27 +39,3 @@ def resistor_power(circuit: Circuit, t: float = 0.0) -> Dict[str, float]:
     return {
         r.name: currents[r.name] ** 2 * r.resistance for r in circuit.resistors
     }
-
-
-def source_currents(circuit: Circuit, t: float = 0.0) -> Dict[str, float]:
-    """Branch current delivered by each voltage source / VCVS.
-
-    Positive current flows out of the positive terminal into the
-    circuit (source delivering power).
-    """
-    assembler, x, _ = _solve(circuit, t)
-    out = {}
-    for k, branch in enumerate(assembler.branches):
-        # MNA convention: the branch unknown is the current flowing
-        # into the positive terminal; negate for delivered current.
-        out[branch.name] = float(-np.real(x[assembler.num_nodes + k]))
-    return out
-
-
-def measure_static_power(circuit: Circuit, t: float = 0.0) -> float:
-    """Total resistive dissipation of the DC operating point (watts).
-
-    By Tellegen's theorem this equals the net power delivered by the
-    sources in a resistive network — the test suite checks both sides.
-    """
-    return float(sum(resistor_power(circuit, t).values()))

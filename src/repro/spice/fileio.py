@@ -25,9 +25,8 @@ Engineering suffixes (``k``, ``meg``, ``m``, ``u``, ``n``, ``p``, ``f``,
 from __future__ import annotations
 
 import re
-from typing import List, Union
+from typing import List
 
-from .components import VCVS, Capacitor, CurrentSource, Resistor, VoltageSource
 from .netlist import Circuit
 from .waveforms import DC
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Waveform", "DC", "Step", "Sine", "Pulse", "PiecewiseLinear"]
+__all__ = ["Waveform", "DC", "Step", "Sine", "PiecewiseLinear"]
 
 
 class Waveform:
@@ -65,32 +65,6 @@ class Sine(Waveform):
         return self.offset + self.amplitude * np.sin(
             2.0 * np.pi * self.frequency * t + self.phase
         )
-
-
-class Pulse(Waveform):
-    """Periodic rectangular pulse of the given width and period."""
-
-    def __init__(
-        self,
-        low: float = 0.0,
-        high: float = 1.0,
-        width: float = 0.5,
-        period: float = 1.0,
-        t0: float = 0.0,
-    ) -> None:
-        if width <= 0 or period <= 0 or width > period:
-            raise ValueError("need 0 < width <= period")
-        self.low = float(low)
-        self.high = float(high)
-        self.width = float(width)
-        self.period = float(period)
-        self.t0 = float(t0)
-
-    def __call__(self, t: float) -> float:
-        if t < self.t0:
-            return self.low
-        phase = (t - self.t0) % self.period
-        return self.high if phase < self.width else self.low
 
 
 class PiecewiseLinear(Waveform):

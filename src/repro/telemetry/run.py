@@ -31,7 +31,7 @@ import pathlib
 import subprocess
 import time
 from contextlib import nullcontext
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Optional, Union
 
 from .events import EVENTS_FILENAME, MANIFEST_FILENAME, SCHEMA_VERSION, encode_event
 from .gauges import Gauge, gauges

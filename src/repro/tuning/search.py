@@ -10,7 +10,7 @@ tractable on a laptop-scale CPU budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 

@@ -1,18 +1,12 @@
 """Shared utilities: tables, timing, checkpointing."""
 
-from .serialization import load_model, load_state_dict, save_model, save_state_dict
-from .tables import format_mean_std, render_table
+from .tables import render_table
 from .timing import MCCounters, Stopwatch, mc_counters, time_callable
 
 __all__ = [
     "render_table",
-    "format_mean_std",
     "Stopwatch",
     "time_callable",
     "MCCounters",
     "mc_counters",
-    "save_model",
-    "load_model",
-    "save_state_dict",
-    "load_state_dict",
 ]

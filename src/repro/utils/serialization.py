@@ -1,16 +1,16 @@
-"""Model and training-state checkpointing to ``.npz`` files.
+"""Training-state checkpointing to ``.npz`` files.
 
 State dicts are plain ``{name: ndarray}`` mappings, so numpy's archive
 format is a natural, dependency-free checkpoint: one array per
 parameter, keyed by its dotted module path.
 
-:func:`save_checkpoint` / :func:`load_checkpoint` generalise this to
-full *training* checkpoints: arbitrary named array groups (model
-parameters, optimizer moments, best-so-far state) plus a JSON metadata
-document (RNG bit-generator state, scheduler counters, history) stored
-inside the same archive — one file, no pickle, bit-exact round trip.
-The trainer's checkpoint/resume support
-(:meth:`repro.core.Trainer.fit`) is built on these two functions.
+:func:`save_checkpoint` / :func:`load_checkpoint` store full *training*
+checkpoints: arbitrary named array groups (model parameters, optimizer
+moments, best-so-far state) plus a JSON metadata document (RNG
+bit-generator state, scheduler counters, history) stored inside the
+same archive — one file, no pickle, bit-exact round trip.  The
+trainer's checkpoint/resume support (:meth:`repro.core.Trainer.fit`)
+is built on these two functions.
 """
 
 from __future__ import annotations
@@ -21,50 +21,12 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from ..nn.module import Module
-
-__all__ = [
-    "save_model",
-    "load_model",
-    "save_state_dict",
-    "load_state_dict",
-    "save_checkpoint",
-    "load_checkpoint",
-]
+__all__ = ["save_checkpoint", "load_checkpoint"]
 
 PathLike = Union[str, pathlib.Path]
 
 #: Reserved archive key holding the JSON metadata document.
 _META_KEY = "__checkpoint_meta__"
-
-
-def save_state_dict(state: dict, path: PathLike) -> None:
-    """Write a state dict to ``path`` (``.npz`` appended if missing)."""
-    path = pathlib.Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
-    np.savez(path, **state)
-
-
-def load_state_dict(path: PathLike) -> dict:
-    """Read a state dict written by :func:`save_state_dict`."""
-    with np.load(pathlib.Path(path)) as archive:
-        return {name: archive[name].copy() for name in archive.files}
-
-
-def save_model(model: Module, path: PathLike) -> None:
-    """Snapshot a model's parameters to ``path``."""
-    save_state_dict(model.state_dict(), path)
-
-
-def load_model(model: Module, path: PathLike) -> Module:
-    """Load parameters into an already-constructed model (in place).
-
-    The model must have the same architecture the checkpoint was saved
-    from; mismatches raise ``KeyError``/``ValueError``.
-    """
-    model.load_state_dict(load_state_dict(path))
-    return model
 
 
 def save_checkpoint(arrays: Dict[str, np.ndarray], meta: Dict, path: PathLike) -> pathlib.Path:

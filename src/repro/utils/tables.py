@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-__all__ = ["render_table", "format_mean_std"]
-
-
-def format_mean_std(mean: float, std: float, digits: int = 3) -> str:
-    """Render ``mean ± std`` the way the paper's tables do."""
-    return f"{mean:.{digits}f} ± {std:.{digits}f}"
+__all__ = ["render_table"]
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

@@ -1,4 +1,4 @@
-"""Free-function graph builders and the softmax family."""
+"""Free-function graph builders and the log-softmax family."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,11 @@ import pytest
 from repro.autograd import (
     Tensor,
     check_gradients,
-    concat,
     log_softmax,
     logsumexp,
     maximum,
     minimum,
-    one_hot,
     outer,
-    softmax,
     stack,
     where,
 )
@@ -29,16 +26,6 @@ class TestStackConcat:
     def test_stack_gradients(self, rng, axis):
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
         check_gradients(lambda p, q: stack([p, q], axis=axis).tanh(), [a, b])
-
-    def test_concat_values(self, rng):
-        parts = [rng.normal(size=(2, k)) for k in (1, 3, 2)]
-        out = concat([Tensor(p) for p in parts], axis=1)
-        assert np.allclose(out.data, np.concatenate(parts, axis=1))
-
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_concat_gradients(self, rng, axis):
-        a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-        check_gradients(lambda p, q: concat([p, q], axis=axis).exp(), [a, b])
 
     def test_stack_accepts_raw_arrays(self, rng):
         out = stack([rng.normal(size=3), rng.normal(size=3)])
@@ -68,11 +55,11 @@ class TestWhereMaxMin:
 
 class TestSoftmaxFamily:
     def test_softmax_sums_to_one(self, rng):
-        out = softmax(Tensor(rng.normal(size=(4, 6)) * 10), axis=-1)
+        out = log_softmax(Tensor(rng.normal(size=(4, 6)) * 10), axis=-1).exp()
         assert np.allclose(out.data.sum(axis=-1), 1.0)
 
     def test_softmax_stability_large_logits(self):
-        out = softmax(Tensor([[1000.0, 1000.0, 0.0]]), axis=-1)
+        out = log_softmax(Tensor([[1000.0, 1000.0, 0.0]]), axis=-1).exp()
         assert np.all(np.isfinite(out.data))
         assert np.allclose(out.data[0, :2], 0.5, atol=1e-6)
 
@@ -83,7 +70,7 @@ class TestSoftmaxFamily:
         assert np.allclose(log_softmax(Tensor(x), axis=-1).data, scipy_ls(x, axis=-1))
 
     def test_softmax_gradients(self, rng):
-        check_gradients(lambda a: softmax(a, axis=-1), [rng.normal(size=(3, 4))])
+        check_gradients(lambda a: log_softmax(a, axis=-1).exp(), [rng.normal(size=(3, 4))])
 
     def test_log_softmax_gradients(self, rng):
         check_gradients(lambda a: log_softmax(a, axis=-1), [rng.normal(size=(3, 4))])
@@ -103,18 +90,6 @@ class TestSoftmaxFamily:
 
 
 class TestOneHotOuter:
-    def test_one_hot_values(self):
-        out = one_hot([0, 2, 1], 3)
-        assert np.array_equal(out, np.eye(3)[[0, 2, 1]])
-
-    def test_one_hot_rejects_bad_labels(self):
-        with pytest.raises(ValueError):
-            one_hot([0, 3], 3)
-        with pytest.raises(ValueError):
-            one_hot([-1], 3)
-        with pytest.raises(ValueError):
-            one_hot([[0, 1]], 3)
-
     def test_outer_values(self, rng):
         a, b = rng.normal(size=3), rng.normal(size=4)
         assert np.allclose(outer(Tensor(a), Tensor(b)).data, np.outer(a, b))

@@ -20,7 +20,6 @@ from repro.autograd import (
     default_tolerances,
     filter_scan,
     get_precision,
-    master_dtype,
     resolve_policy,
     set_precision,
     use_precision,
@@ -60,7 +59,7 @@ class TestPolicyResolution:
         with use_precision("mixed") as policy:
             assert policy is get_precision()
             assert compute_dtype() == np.dtype(np.float32)
-            assert master_dtype() == np.dtype(np.float64)
+            assert policy.master == np.dtype(np.float64)
         assert get_precision().name == "float64"
 
     def test_use_precision_restores_on_error(self):

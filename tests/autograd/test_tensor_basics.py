@@ -114,12 +114,3 @@ class TestNoGrad:
             with no_grad():
                 raise ValueError("boom")
         assert is_grad_enabled()
-
-    def test_enable_grad_inside_no_grad(self):
-        from repro.autograd import enable_grad
-
-        a = Tensor([1.0], requires_grad=True)
-        with no_grad():
-            with enable_grad():
-                b = a * 2.0
-        assert b.requires_grad

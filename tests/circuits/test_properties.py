@@ -8,8 +8,6 @@ from hypothesis.extra.numpy import arrays
 from repro.autograd import Tensor
 from repro.circuits import (
     PrintedCrossbar,
-    THETA_MIN,
-    program_crossbar,
     snap_to_grid,
 )
 
@@ -35,34 +33,6 @@ def test_crossbar_output_bounded_by_inputs(seed):
     out = xb(Tensor(x)).data
     bound = max(np.abs(x).max(), xb.pdk.supply_voltage)
     assert np.all(np.abs(out) <= bound + 1e-9)
-
-
-@given(
-    arrays(
-        np.float64,
-        (2, 3),
-        elements=st.floats(min_value=-0.25, max_value=0.25, allow_nan=False),
-    ),
-    seeds,
-)
-@settings(max_examples=30, deadline=None)
-def test_program_crossbar_roundtrip(weights, seed):
-    """Programming then reading back recovers the weights exactly,
-    whenever the request is printable."""
-    xb = PrintedCrossbar(3, 2, rng=np.random.default_rng(seed))
-    # keep rows inside the divider constraint and dynamic range
-    magnitudes = np.abs(weights)
-    ok_rows = (magnitudes.sum(axis=1) < 0.9) & np.all(
-        (magnitudes == 0) | (magnitudes > magnitudes.max() * THETA_MIN * 2 + 1e-12),
-        axis=1,
-    )
-    if not np.all(ok_rows):
-        return
-    try:
-        program_crossbar(xb, weights)
-    except ValueError:
-        return  # dynamic range genuinely unprintable — allowed to refuse
-    assert np.allclose(xb.weight_matrix(), weights, atol=1e-9)
 
 
 @given(

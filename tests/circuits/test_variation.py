@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.circuits import (
-    GaussianVariation,
     GMMVariation,
     NoVariation,
     UniformVariation,
@@ -29,21 +28,6 @@ class TestUniformVariation:
     def test_rejects_bad_delta(self, bad):
         with pytest.raises(ValueError):
             UniformVariation(bad)
-
-
-class TestGaussianVariation:
-    def test_positive(self, rng):
-        eps = GaussianVariation(0.5).sample((10000,), rng)
-        assert np.all(eps > 0)
-
-    def test_moments(self, rng):
-        eps = GaussianVariation(0.05).sample((20000,), rng)
-        assert abs(eps.mean() - 1.0) < 0.01
-        assert abs(eps.std() - 0.05) < 0.01
-
-    def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
-            GaussianVariation(-0.1)
 
 
 class TestGMMVariation:

@@ -1,15 +1,9 @@
-"""Dataset import/export."""
+"""Dataset import from UCR-style CSV."""
 
 import numpy as np
 import pytest
 
-from repro.data import (
-    load_dataset,
-    load_series_csv,
-    load_splits,
-    save_series_csv,
-    save_splits,
-)
+from repro.data import load_series_csv
 
 
 class TestCSV:
@@ -17,24 +11,27 @@ class TestCSV:
         x = rng.normal(size=(6, 16))
         y = rng.integers(0, 3, 6)
         path = tmp_path / "series.csv"
-        save_series_csv(path, x, y)
+        path.write_text(
+            "".join(
+                ",".join([str(label)] + [repr(float(v)) for v in row]) + "\n"
+                for label, row in zip(y, x)
+            )
+        )
         x2, y2 = load_series_csv(path)
-        assert np.allclose(x, x2)
+        assert np.array_equal(x, x2)
         assert np.array_equal(y, y2)
 
-    def test_ucr_style_format(self, tmp_path, rng):
-        """Row layout must be label-first, one series per line."""
-        x = np.array([[0.5, -0.25]])
-        y = np.array([2])
-        path = tmp_path / "one.csv"
-        save_series_csv(path, x, y)
-        line = path.read_text().strip()
-        fields = [float(f) for f in line.split(",")]
-        assert fields == [2.0, 0.5, -0.25]
+    def test_ucr_style_format(self, tmp_path):
+        """Row layout is label-first, one series per line."""
+        (tmp_path / "one.csv").write_text("2,0.5,-0.25\n")
+        x, y = load_series_csv(tmp_path / "one.csv")
+        assert x.tolist() == [[0.5, -0.25]]
+        assert y.tolist() == [2]
 
-    def test_rejects_shape_mismatch(self, tmp_path, rng):
-        with pytest.raises(ValueError):
-            save_series_csv(tmp_path / "x.csv", rng.normal(size=(3, 4)), np.zeros(2))
+    def test_rejects_shape_mismatch(self, tmp_path):
+        (tmp_path / "labels_only.csv").write_text("0\n1\n")
+        with pytest.raises(ValueError, match="label column"):
+            load_series_csv(tmp_path / "labels_only.csv")
 
     def test_rejects_non_integer_labels(self, tmp_path):
         (tmp_path / "bad.csv").write_text("0.5,1.0,2.0\n")
@@ -46,21 +43,3 @@ class TestCSV:
         x, y = load_series_csv(tmp_path / "ext.csv")
         assert x.shape == (2, 3)
         assert np.array_equal(y, [0, 1])
-
-
-class TestSplits:
-    def test_roundtrip_preserves_everything(self, tmp_path):
-        ds = load_dataset("Slope", n_samples=50, seed=0)
-        path = tmp_path / "slope.npz"
-        save_splits(path, ds)
-        loaded = load_splits(path)
-        assert loaded.info.name == "Slope"
-        assert loaded.info.n_classes == 3
-        assert np.array_equal(loaded.x_train, ds.x_train)
-        assert np.array_equal(loaded.y_test, ds.y_test)
-        assert loaded.sizes() == ds.sizes()
-
-    def test_suffix_appended(self, tmp_path):
-        ds = load_dataset("Slope", n_samples=50, seed=0)
-        save_splits(tmp_path / "noext", ds)
-        assert (tmp_path / "noext.npz").exists()

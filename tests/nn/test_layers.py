@@ -1,10 +1,10 @@
-"""Linear, activations, containers and initialisers."""
+"""Linear, the module list and the initialiser."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn import Identity, Linear, ModuleList, ReLU, Sequential, Sigmoid, Tanh, init
+from repro.nn import Linear, ModuleList, init
 
 
 class TestLinear:
@@ -43,41 +43,15 @@ class TestLinear:
         assert np.array_equal(a.weight.data, b.weight.data)
 
 
-class TestActivations:
-    @pytest.mark.parametrize(
-        "module,fn",
-        [
-            (Tanh(), np.tanh),
-            (Sigmoid(), lambda x: 1 / (1 + np.exp(-x))),
-            (ReLU(), lambda x: np.maximum(x, 0)),
-            (Identity(), lambda x: x),
-        ],
-    )
-    def test_matches_numpy(self, module, fn, rng):
-        x = rng.normal(size=(3, 4))
-        assert np.allclose(module(Tensor(x)).data, fn(x))
-
-
 class TestContainers:
-    def test_sequential_chains(self, rng):
-        net = Sequential(Linear(4, 8, rng=rng), Tanh(), Linear(8, 2, rng=rng))
-        assert net(Tensor(np.ones((3, 4)))).shape == (3, 2)
-
-    def test_sequential_parameters_collected(self, rng):
-        net = Sequential(Linear(4, 8, rng=rng), Linear(8, 2, rng=rng))
-        assert net.num_parameters() == (4 * 8 + 8) + (8 * 2 + 2)
-
-    def test_sequential_indexing_iteration(self, rng):
-        net = Sequential(Linear(4, 8, rng=rng), Tanh())
-        assert len(net) == 2
-        assert isinstance(net[1], Tanh)
-        assert [type(m).__name__ for m in net] == ["Linear", "Tanh"]
-
     def test_modulelist_append_and_iterate(self, rng):
-        ml = ModuleList([Linear(2, 2, rng=rng)])
-        ml.append(Tanh())
+        first, second = Linear(2, 2, rng=rng), Linear(2, 3, rng=rng)
+        ml = ModuleList([first])
+        ml.append(second)
         assert len(ml) == 2
-        assert isinstance(ml[1], Tanh)
+        assert ml[1] is second
+        assert ml[:1] == [first]
+        assert list(ml) == [first, second]
 
     def test_modulelist_parameters_registered(self, rng):
         ml = ModuleList([Linear(2, 3, rng=rng), Linear(3, 1, rng=rng)])
@@ -85,7 +59,7 @@ class TestContainers:
 
     def test_modulelist_forward_raises(self):
         with pytest.raises(NotImplementedError):
-            ModuleList([Tanh()])(1)
+            ModuleList()(1)
 
 
 class TestInit:
@@ -93,23 +67,6 @@ class TestInit:
         w = init.xavier_uniform((100, 50), rng)
         bound = np.sqrt(6.0 / 150)
         assert np.all(np.abs(w) <= bound)
-
-    def test_xavier_normal_std(self, rng):
-        w = init.xavier_normal((400, 400), rng)
-        assert abs(w.std() - np.sqrt(2.0 / 800)) < 0.005
-
-    def test_kaiming_uniform_bound(self, rng):
-        w = init.kaiming_uniform((10, 25), rng)
-        assert np.all(np.abs(w) <= np.sqrt(6.0 / 25))
-
-    def test_uniform_range(self, rng):
-        w = init.uniform((1000,), rng, low=2.0, high=3.0)
-        assert w.min() >= 2.0 and w.max() < 3.0
-
-    def test_normal_moments(self, rng):
-        w = init.normal((5000,), rng, mean=1.0, std=0.5)
-        assert abs(w.mean() - 1.0) < 0.05
-        assert abs(w.std() - 0.5) < 0.05
 
     def test_fans_reject_empty_shape(self, rng):
         with pytest.raises(ValueError):

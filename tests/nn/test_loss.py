@@ -1,10 +1,10 @@
-"""Loss functions."""
+"""The cross-entropy loss."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor, check_gradients
-from repro.nn import CrossEntropyLoss, MSELoss, NLLLoss, cross_entropy, mse_loss
+from repro.nn import cross_entropy
 from repro.autograd import log_softmax
 
 
@@ -43,36 +43,3 @@ class TestCrossEntropy:
     def test_rejects_1d_logits(self, rng):
         with pytest.raises(ValueError):
             cross_entropy(Tensor(rng.normal(size=3)), [0])
-
-    def test_module_wrapper(self, rng):
-        logits = Tensor(rng.normal(size=(2, 3)))
-        assert np.isclose(
-            CrossEntropyLoss()(logits, [0, 1]).item(),
-            cross_entropy(logits, [0, 1]).item(),
-        )
-
-
-class TestNLL:
-    def test_matches_cross_entropy_via_log_softmax(self, rng):
-        logits = Tensor(rng.normal(size=(4, 3)))
-        labels = [0, 1, 2, 0]
-        nll = NLLLoss()(log_softmax(logits, axis=-1), labels)
-        assert np.isclose(nll.item(), cross_entropy(logits, labels).item())
-
-
-class TestMSE:
-    def test_zero_for_identical(self, rng):
-        x = rng.normal(size=(3, 4))
-        assert mse_loss(Tensor(x), x).item() == 0.0
-
-    def test_matches_numpy(self, rng):
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        assert np.isclose(mse_loss(Tensor(a), b).item(), ((a - b) ** 2).mean())
-
-    def test_gradients(self, rng):
-        target = rng.normal(size=(3, 4))
-        check_gradients(lambda a: mse_loss(a, target), [rng.normal(size=(3, 4))])
-
-    def test_module_wrapper(self, rng):
-        a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-        assert np.isclose(MSELoss()(Tensor(a), b).item(), mse_loss(Tensor(a), b).item())

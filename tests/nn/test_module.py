@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.nn import Linear, Module, Parameter, Sequential, Tanh
+from repro.nn import Linear, Module, ModuleList, Parameter
+
+
+class Leaf(Module):
+    def forward(self, x):
+        return x
 
 
 class Branch(Module):
@@ -37,12 +42,12 @@ class TestRegistration:
         assert kinds == ["Branch", "Linear"]
 
     def test_children_direct_only(self):
-        outer = Sequential(Branch(), Tanh())
+        outer = ModuleList([Branch(), Leaf()])
         assert len(list(outer.children())) == 2
 
     def test_register_module_explicit(self):
         m = Module()
-        m.register_module("sub", Tanh())
+        m.register_module("sub", Leaf())
         assert "sub" in [n for n, _ in m._modules.items()]
 
     def test_register_parameter_explicit(self):
@@ -89,7 +94,7 @@ class TestStateDict:
 
 class TestModes:
     def test_train_eval_recursive(self):
-        m = Sequential(Branch(), Tanh())
+        m = ModuleList([Branch(), Leaf()])
         m.eval()
         assert all(not mod.training for mod in m.modules())
         m.train()
@@ -113,12 +118,10 @@ class TestModes:
 
 
 class TestContainerSlicing:
-    @pytest.mark.parametrize("container", ["sequential", "module_list"])
+    @pytest.mark.parametrize("container", ["module_list"])
     def test_slice_returns_plain_list_of_the_same_modules(self, container):
-        from repro.nn import ModuleList
-
-        items = [Branch(), Tanh(), Branch()]
-        c = Sequential(*items) if container == "sequential" else ModuleList(items)
+        items = [Branch(), Leaf(), Branch()]
+        c = ModuleList(items)
         assert type(c[:-1]) is list
         assert all(a is b for a, b in zip(c[:-1], items[:-1]))
         assert len(c[:-1]) == 2
@@ -128,11 +131,9 @@ class TestContainerSlicing:
         assert c[-1] is items[2]
 
     def test_slicing_does_not_reregister(self):
-        from repro.nn import ModuleList
-
         c = ModuleList([Branch(), Branch()])
         names = [name for name, _ in c.named_parameters()]
         head = c[:1]
-        head.append(Tanh())
+        head.append(Leaf())
         assert len(c) == 2
         assert [name for name, _ in c.named_parameters()] == names

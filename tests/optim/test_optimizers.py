@@ -1,11 +1,11 @@
-"""SGD / Adam / AdamW update rules and convergence."""
+"""Adam / AdamW update rules and convergence."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
 from repro.nn import Parameter
-from repro.optim import SGD, Adam, AdamW
+from repro.optim import Adam, AdamW
 
 
 def quadratic_loss(p: Parameter) -> Tensor:
@@ -20,50 +20,6 @@ def run_steps(optimizer, param, steps: int = 200):
         quadratic_loss(param).backward()
         optimizer.step()
     return param.data
-
-
-class TestSGD:
-    def test_single_step_rule(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1)
-        opt.zero_grad()
-        (p * 3.0).sum().backward()
-        opt.step()
-        assert np.allclose(p.data, [1.0 - 0.1 * 3.0])
-
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.zeros(3))
-        run_steps(SGD([p], lr=0.1), p)
-        assert np.allclose(p.data, [1.0, -2.0, 3.0], atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        p1, p2 = Parameter(np.zeros(3)), Parameter(np.zeros(3))
-        run_steps(SGD([p1], lr=0.01), p1, steps=50)
-        run_steps(SGD([p2], lr=0.01, momentum=0.9), p2, steps=50)
-        target = np.array([1.0, -2.0, 3.0])
-        assert np.linalg.norm(p2.data - target) < np.linalg.norm(p1.data - target)
-
-    def test_weight_decay_shrinks(self):
-        p = Parameter(np.array([10.0]))
-        opt = SGD([p], lr=0.1, weight_decay=1.0)
-        opt.zero_grad()
-        (p * 0.0).sum().backward()
-        opt.step()
-        assert p.data[0] < 10.0
-
-    def test_skips_params_without_grad(self):
-        p = Parameter(np.array([5.0]))
-        SGD([p], lr=0.1).step()
-        assert p.data[0] == 5.0
-
-    @pytest.mark.parametrize("bad", [{"lr": 0.0}, {"lr": -1.0}, {"momentum": 1.0}, {"weight_decay": -0.1}])
-    def test_rejects_bad_hyperparameters(self, bad):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], **{"lr": 0.1, **bad})
-
-    def test_rejects_empty_params(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
 
 
 class TestAdam:
@@ -81,10 +37,22 @@ class TestAdam:
         opt.step()
         assert np.isclose(abs(p.data[0]), 0.05, rtol=1e-6)
 
-    @pytest.mark.parametrize("bad", [{"betas": (1.0, 0.999)}, {"betas": (0.9, -0.1)}, {"eps": 0.0}])
+    @pytest.mark.parametrize(
+        "bad",
+        [{"betas": (1.0, 0.999)}, {"betas": (0.9, -0.1)}, {"eps": 0.0}, {"lr": 0.0}, {"lr": -1.0}],
+    )
     def test_rejects_bad_hyperparameters(self, bad):
         with pytest.raises(ValueError):
             Adam([Parameter(np.zeros(1))], **bad)
+
+    def test_skips_params_without_grad(self):
+        p = Parameter(np.array([5.0]))
+        Adam([p], lr=0.1).step()
+        assert p.data[0] == 5.0
+
+    def test_rejects_empty_params(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
 
 
 class TestAdamW:

@@ -1,14 +1,14 @@
-"""LR schedules and early stopping — the paper's training protocol."""
+"""The plateau LR schedule — the paper's training protocol."""
 
 import numpy as np
 import pytest
 
 from repro.nn import Parameter
-from repro.optim import SGD, EarlyStopping, ReduceLROnPlateau, StepLR
+from repro.optim import Adam, ReduceLROnPlateau
 
 
 def make_optimizer(lr=0.1):
-    return SGD([Parameter(np.zeros(1))], lr=lr)
+    return Adam([Parameter(np.zeros(1))], lr=lr)
 
 
 class TestReduceLROnPlateau:
@@ -53,54 +53,3 @@ class TestReduceLROnPlateau:
     def test_rejects_bad_hyperparameters(self, bad):
         with pytest.raises(ValueError):
             ReduceLROnPlateau(make_optimizer(), **bad)
-
-
-class TestStepLR:
-    def test_decays_at_boundaries(self):
-        opt = make_optimizer(1.0)
-        sched = StepLR(opt, step_size=3, gamma=0.1)
-        for _ in range(3):
-            sched.step()
-        assert np.isclose(opt.lr, 0.1)
-        for _ in range(3):
-            sched.step()
-        assert np.isclose(opt.lr, 0.01)
-
-    def test_rejects_zero_step(self):
-        with pytest.raises(ValueError):
-            StepLR(make_optimizer(), step_size=0)
-
-
-class TestEarlyStopping:
-    def test_tracks_best_state(self):
-        es = EarlyStopping(patience=3)
-        es.update(1.0, {"w": np.array([1.0])})
-        es.update(0.5, {"w": np.array([2.0])})
-        es.update(0.9, {"w": np.array([3.0])})
-        assert es.best_metric == 0.5
-        assert np.array_equal(es.best_state["w"], [2.0])
-
-    def test_best_state_is_copied(self):
-        es = EarlyStopping(patience=3)
-        state = {"w": np.array([1.0])}
-        es.update(1.0, state)
-        state["w"][0] = 99.0
-        assert es.best_state["w"][0] == 1.0
-
-    def test_stops_after_patience(self):
-        es = EarlyStopping(patience=2)
-        es.update(1.0, {})
-        es.update(1.5, {})
-        assert not es.should_stop()
-        es.update(1.5, {})
-        assert es.should_stop()
-
-    def test_maximize_mode(self):
-        es = EarlyStopping(patience=2, minimize=False)
-        assert es.update(0.5, {})
-        assert es.update(0.9, {})
-        assert not es.update(0.7, {})
-
-    def test_rejects_nonpositive_patience(self):
-        with pytest.raises(ValueError):
-            EarlyStopping(patience=0)

@@ -20,7 +20,6 @@ from repro.parallel import (
     SweepCell,
     SweepOptions,
     run_cells,
-    summarize_outcomes,
 )
 
 
@@ -105,8 +104,7 @@ def test_all_ok(executor):
         outcome = out[("t", str(i))]
         assert outcome.ok and outcome.value == {"sq": i * i}
         assert outcome.attempts == 1 and not outcome.cached
-    summary = summarize_outcomes(out)
-    assert summary["n_ok"] == 4 and summary["n_failed"] == 0
+    assert all(outcome.ok for outcome in out.values())
 
 
 def test_duplicate_keys_rejected():
@@ -138,8 +136,8 @@ def test_always_raising_cell_degrades(executor):
         assert outcome.status == "failed"
         assert outcome.attempts == 3  # 1 + retries
         assert "always fails" in outcome.error
-    summary = summarize_outcomes(out)
-    assert summary["n_failed"] == 2 and summary["attempts"] == 6
+    assert sum(not o.ok for o in out.values()) == 2
+    assert sum(o.attempts for o in out.values()) == 6
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
@@ -180,9 +178,16 @@ def test_retry_events_emitted(tmp_path):
 # -- timeouts ----------------------------------------------------------------
 
 
-def test_hanging_worker_times_out(tmp_path):
+def _cell_start_pids(run_dir):
+    """``{cell label: worker_pid}`` of every ``sweep.cell_start`` event."""
+    events = telemetry.read_events(run_dir / "events.jsonl", kind="sweep.cell_start")
+    return {e["cell"]: e["worker_pid"] for e in events}
+
+
+@pytest.mark.parametrize("executor", ("parallel", "pool"))
+def test_hanging_worker_times_out(executor, tmp_path):
     options = SweepOptions(
-        executor="parallel", max_workers=2, timeout_s=1.0, retries=0, backoff_s=0.0
+        executor=executor, max_workers=2, timeout_s=1.0, retries=0, backoff_s=0.0
     )
     t0 = time.perf_counter()
     with telemetry.Run(dir=tmp_path / "run"):
@@ -196,11 +201,14 @@ def test_hanging_worker_times_out(tmp_path):
     events = telemetry.read_events(tmp_path / "run" / "events.jsonl")
     timeouts = [e for e in events if e["kind"] == "sweep.timeout"]
     assert len(timeouts) == 1 and timeouts[0]["timeout_s"] == 1.0
+    # The process that ran (and overran) the cell, not its replacement.
+    assert outcome.worker_pid == _cell_start_pids(tmp_path / "run")["t/0"]
 
 
-def test_timeout_then_retry_counts_attempts():
+@pytest.mark.parametrize("executor", ("parallel", "pool"))
+def test_timeout_then_retry_counts_attempts(executor):
     options = SweepOptions(
-        executor="parallel", max_workers=1, timeout_s=0.8, retries=1, backoff_s=0.0
+        executor=executor, max_workers=1, timeout_s=0.8, retries=1, backoff_s=0.0
     )
     out = run_cells(cell_hang, _cells(1), options)
     outcome = out[("t", "0")]
@@ -210,12 +218,18 @@ def test_timeout_then_retry_counts_attempts():
 # -- killed workers ----------------------------------------------------------
 
 
-def test_killed_worker_degrades():
-    options = SweepOptions(executor="parallel", max_workers=2, retries=0, backoff_s=0.0)
-    out = run_cells(cell_kill_self, _cells(2), options)
+@pytest.mark.parametrize("executor", ("parallel", "pool"))
+def test_killed_worker_degrades(executor, tmp_path):
+    options = SweepOptions(executor=executor, max_workers=2, retries=0, backoff_s=0.0)
+    with telemetry.Run(dir=tmp_path / "run"):
+        out = run_cells(cell_kill_self, _cells(2), options)
+    started_on = _cell_start_pids(tmp_path / "run")
     for outcome in out.values():
         assert not outcome.ok
         assert "died without result" in outcome.error
+        # The process that ran (and died in) the cell, not its replacement.
+        started = started_on["/".join(outcome.key)]
+        assert started is not None and outcome.worker_pid == started
 
 
 def test_killed_worker_retries_to_success(tmp_path):
@@ -334,5 +348,4 @@ def test_outcome_dataclass_basics():
     ok = CellOutcome(key=("a",), status="ok", value={"x": 1})
     bad = CellOutcome(key=("b",), status="failed", error="boom")
     assert ok.ok and not bad.ok
-    summary = summarize_outcomes({("a",): ok, ("b",): bad})
-    assert summary["failures"] == [{"cell": "b", "error": "boom", "attempts": 0}]
+    assert (bad.error, bad.attempts) == ("boom", 0)

@@ -1,9 +1,9 @@
-"""AC sweeps, cutoff extraction and step-response characterisation."""
+"""AC sweeps and cutoff extraction."""
 
 import numpy as np
 import pytest
 
-from repro.spice import Circuit, Step, ac_sweep, cutoff_frequency, step_response
+from repro.spice import Circuit, ac_sweep, cutoff_frequency
 
 
 def first_order(r=1e3, c=1e-6):
@@ -78,26 +78,3 @@ class TestValidation:
         res = ac_sweep(first_order(), "vin", "out", np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
             cutoff_frequency(res)
-
-
-class TestStepResponse:
-    def test_monotone_rise_to_one(self):
-        out = step_response(first_order(), "vin", "out", dt=1e-5, steps=500)
-        assert out[-1] > 0.99
-        assert np.all(np.diff(out) >= -1e-12)
-
-    def test_restores_original_waveform(self):
-        circ = first_order()
-        original = circ["vin"].waveform
-        step_response(circ, "vin", "out", dt=1e-5, steps=10)
-        assert circ["vin"].waveform is original
-
-    def test_unknown_source_raises(self):
-        with pytest.raises(KeyError):
-            step_response(first_order(), "ghost", "out", dt=1e-5, steps=10)
-
-    def test_63_percent_at_tau(self):
-        r, c = 1e3, 1e-6
-        dt = r * c / 100
-        out = step_response(first_order(r, c), "vin", "out", dt=dt, steps=150)
-        assert np.isclose(out[100], 1 - np.exp(-1), atol=0.01)

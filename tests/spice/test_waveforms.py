@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.spice import DC, PiecewiseLinear, Pulse, Sine, Step
+from repro.spice import DC, PiecewiseLinear, Sine, Step
 
 
 class TestDC:
@@ -32,23 +32,6 @@ class TestSine:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             Sine(frequency=0.0)
-
-
-class TestPulse:
-    def test_duty_cycle(self):
-        w = Pulse(low=0.0, high=1.0, width=0.3, period=1.0)
-        assert w(0.1) == 1.0
-        assert w(0.5) == 0.0
-        assert w(1.1) == 1.0  # periodic
-
-    def test_before_start(self):
-        w = Pulse(t0=1.0)
-        assert w(0.5) == 0.0
-
-    @pytest.mark.parametrize("bad", [{"width": 0.0}, {"period": 0.0}, {"width": 2.0, "period": 1.0}])
-    def test_rejects_bad_geometry(self, bad):
-        with pytest.raises(ValueError):
-            Pulse(**bad)
 
 
 class TestPiecewiseLinear:

@@ -1,35 +1,35 @@
-"""Model checkpointing."""
+"""Checkpoint archives: ``save_checkpoint`` / ``load_checkpoint``."""
 
 import numpy as np
 import pytest
 
 from repro.core import AdaptPNC
-from repro.utils import load_model, load_state_dict, save_model, save_state_dict
+from repro.utils.serialization import load_checkpoint, save_checkpoint
 
 
 class TestStateDictIO:
     def test_roundtrip(self, tmp_path, rng):
         state = {"a.b": rng.normal(size=(3, 4)), "c": rng.normal(size=2)}
-        path = tmp_path / "ckpt.npz"
-        save_state_dict(state, path)
-        loaded = load_state_dict(path)
+        meta = {"epoch": 3, "best": float("inf")}
+        path = save_checkpoint(state, meta, tmp_path / "ckpt.npz")
+        loaded, loaded_meta = load_checkpoint(path)
         assert set(loaded) == set(state)
         for key in state:
             assert np.array_equal(loaded[key], state[key])
+        assert loaded_meta == meta
 
     def test_suffix_appended(self, tmp_path):
-        save_state_dict({"x": np.zeros(1)}, tmp_path / "ckpt")
-        assert (tmp_path / "ckpt.npz").exists()
+        path = save_checkpoint({"x": np.zeros(1)}, {}, tmp_path / "ckpt")
+        assert path == tmp_path / "ckpt.npz" and path.exists()
 
 
 class TestModelIO:
     def test_model_roundtrip(self, tmp_path):
         model = AdaptPNC(3, rng=np.random.default_rng(0))
-        path = tmp_path / "model.npz"
-        save_model(model, path)
+        path = save_checkpoint(model.state_dict(), {}, tmp_path / "model.npz")
 
         clone = AdaptPNC(3, rng=np.random.default_rng(99))  # different init
-        load_model(clone, path)
+        clone.load_state_dict(load_checkpoint(path)[0])
         for (name_a, p_a), (name_b, p_b) in zip(
             model.named_parameters(), clone.named_parameters()
         ):
@@ -40,12 +40,13 @@ class TestModelIO:
         model = AdaptPNC(2, rng=np.random.default_rng(0))
         x = rng.uniform(-1, 1, (3, 16))
         expected = model(x).data
-        save_model(model, tmp_path / "m.npz")
+        path = save_checkpoint(model.state_dict(), {}, tmp_path / "m.npz")
         clone = AdaptPNC(2, rng=np.random.default_rng(123))
-        load_model(clone, tmp_path / "m.npz")
+        clone.load_state_dict(load_checkpoint(path)[0])
         assert np.allclose(clone(x).data, expected)
 
     def test_architecture_mismatch_raises(self, tmp_path):
-        save_model(AdaptPNC(3, rng=np.random.default_rng(0)), tmp_path / "m.npz")
+        model = AdaptPNC(3, rng=np.random.default_rng(0))
+        path = save_checkpoint(model.state_dict(), {}, tmp_path / "m.npz")
         with pytest.raises((KeyError, ValueError)):
-            load_model(AdaptPNC(5, rng=np.random.default_rng(0)), tmp_path / "m.npz")
+            AdaptPNC(5, rng=np.random.default_rng(0)).load_state_dict(load_checkpoint(path)[0])

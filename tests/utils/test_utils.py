@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.utils import Stopwatch, format_mean_std, render_table, time_callable
+from repro.utils import Stopwatch, render_table, time_callable
 
 
 class TestRenderTable:
@@ -30,14 +30,6 @@ class TestRenderTable:
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             render_table(["A", "B"], [["only-one"]])
-
-
-class TestFormatMeanStd:
-    def test_paper_style(self):
-        assert format_mean_std(0.7264, 0.0141) == "0.726 ± 0.014"
-
-    def test_digits(self):
-        assert format_mean_std(0.5, 0.25, digits=2) == "0.50 ± 0.25"
 
 
 class TestTiming:
